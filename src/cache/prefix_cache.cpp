@@ -20,9 +20,9 @@ obs::Counter& counter(const char* name) {
 
 /// One radix node.  `edge` is the token run from the parent; `kv` holds the
 /// *full path* [0, depth) so assembling a match is a single copy_prefix.
-/// Duplicating ancestor rows costs memory but keeps every node internally
-/// consistent under splits and evictions (a node never depends on its
-/// parent's buffers).
+/// Ancestor rows are shared pages, not copies, and every node holds its
+/// own handles, so it stays consistent under splits and evictions (a node
+/// never depends on its parent staying alive).
 struct PrefixCache::Node {
   std::vector<int> edge;
   lm::KvCache kv;
@@ -36,13 +36,17 @@ struct PrefixCache::Node {
 
 PrefixCache::PrefixCache(lm::KvBackend& model, PrefixCacheConfig config)
     : model_(&model), config_(config), root_(std::make_unique<Node>()) {
+  if (config_.page_tokens == 0) {
+    config_.page_tokens = mem::PagePoolConfig{}.page_tokens;
+  }
   const lm::TransformerConfig& cfg = model_->config();
   bytes_per_token_ = 2 * static_cast<std::size_t>(cfg.n_layer) *
                      static_cast<std::size_t>(cfg.d_model) * sizeof(float);
 }
 
 PrefixCache::~PrefixCache() {
-  // Return every node's reservation before the KvCaches detach themselves.
+  // Return every node's reservation; the nodes' pages go back to their
+  // pools as the tree is destroyed.
   std::lock_guard<std::mutex> lock(mutex_);
   if (budget_ != nullptr) {
     std::vector<Node*> stack = {root_.get()};
@@ -115,7 +119,7 @@ bool PrefixCache::evict_one() {
   total_bytes_ -= freed;
   --node_count_;
   Node* parent = victim->parent;
-  parent->children.erase(victim->edge.front());  // ~KvCache uncharges
+  parent->children.erase(victim->edge.front());  // pages back to the pool
   counter("cache.prefix.evictions").add();
   publish();
   return true;
@@ -170,10 +174,10 @@ PrefixCache::Lookup PrefixCache::acquire(std::span<const int> tokens,
         config_.spill->longest_prefix(tokens.first(cap), cap);
     if (spilled > matched &&
         spilled >= std::max<std::size_t>(config_.min_insert_tokens, 1)) {
+      // Without a reload_pool the rows land in a private pool, and hits
+      // on the reloaded node are row copies into the slot's pool.
       lm::KvCache reloaded;
-      if (config_.reload_pool != nullptr) {
-        reloaded.attach_pool(config_.reload_pool);
-      }
+      reloaded.attach_pool(config_.reload_pool);
       bool loaded = false;
       try {
         loaded = config_.spill->load(tokens.first(spilled), spilled, reloaded);
@@ -228,12 +232,12 @@ void PrefixCache::copy_to(const Lookup& lookup,
   LMPEEL_CHECK(lookup.node != nullptr && lookup.tokens > 0);
   LMPEEL_CHECK(lookup.tokens <= lookup.node->depth);
   LMPEEL_CHECK_MSG(lookup.node->pins > 0, "copy_to on an unpinned lookup");
-  const bool zero_copy = lookup.node->kv.paged();
-  dst.copy_prefix(lookup.node->kv, lookup.tokens);
+  const bool zero_copy = dst.copy_prefix(lookup.node->kv, lookup.tokens);
   counter("cache.prefix.saved_prefill_tokens").add(lookup.tokens);
-  // A paged hit hands out page handles — no KV floats move.  The byte
-  // counter stays exact either way so the serve-bench gate ("pure hits
-  // copy zero bytes") can be asserted, not eyeballed.
+  // A hit on the slot's own pool hands out page handles — no KV floats
+  // move; a node on another pool (a spill reload without reload_pool) is
+  // copied row by row.  The byte counter stays exact either way so the
+  // serve-bench gate ("pure hits copy zero bytes") can be asserted.
   if (zero_copy) {
     counter("cache.prefix.zero_copy_hits").add();
   } else {
@@ -283,7 +287,6 @@ PrefixCache::Node* PrefixCache::insert_locked(
                         tokens.end());
       leaf->depth = tokens.size();
       leaf->parent = node;
-      leaf->kv.bind_budget(budget_);
       leaf->kv.copy_prefix(src, tokens.size());
       leaf->reserved_bytes = budget_ != nullptr ? bytes : 0;
       leaf->last_use = ++tick_;
@@ -321,7 +324,6 @@ PrefixCache::Node* PrefixCache::insert_locked(
                      child->edge.begin() + static_cast<std::ptrdiff_t>(common));
     mid->depth = split_depth;
     mid->parent = node;
-    mid->kv.bind_budget(budget_);
     mid->kv.copy_prefix(child->kv, split_depth);
     mid->reserved_bytes = budget_ != nullptr ? bytes : 0;
     mid->last_use = ++tick_;

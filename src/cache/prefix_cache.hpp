@@ -10,9 +10,10 @@
 // fixed k-ascending accumulation and positional embeddings are absolute),
 // so turning it on or off never changes any logit.
 //
-// Resource governance: node KV bytes are both reserved against and charged
-// to an optional guard::Budget, mirroring how the serve engine accounts
-// live slots; when a reservation fails the cache evicts LRU leaves and, if
+// Resource governance: node KV bytes are reserved against an optional
+// guard::Budget, mirroring how the serve engine reserves for live slots
+// (the page pool the nodes share with the slots charges the bytes, once
+// per page); when a reservation fails the cache evicts LRU leaves and, if
 // still short, simply skips the insert (requests always win over cached
 // state).  acquire() additionally reserves a per-request surcharge that
 // covers the caller's own copy of the matched prefix, so the budget's
@@ -55,7 +56,7 @@ class KvSpillBackend {
   virtual std::size_t longest_prefix(std::span<const int> tokens,
                                      std::size_t max_tokens) const = 0;
   /// Loads the entry stored for exactly tokens[0, n) into `kv` (which must
-  /// be empty and already in the caller's storage mode).  false = not
+  /// be empty, and pages into whatever pool it is bound to).  false = not
   /// stored / unreadable / pool exhausted.
   virtual bool load(std::span<const int> tokens, std::size_t n,
                     lm::KvCache& kv) = 0;
@@ -74,19 +75,19 @@ struct PrefixCacheConfig {
   /// whole prompt (the radix tree dedups overlap).  Off = only hinted
   /// prefixes are stored.
   bool auto_insert_prompts = true;
-  /// Reservation granularity in tokens.  Set to the mem::PagePool's
-  /// page_tokens when node KvCaches are paged (DESIGN.md §14): a node's
-  /// pages are charged in whole-page units, so its reservation must round
-  /// the token count up to a page boundary to stay an upper bound on the
-  /// bytes it can end up owning once its sharers release.  0/1 = exact
-  /// per-token reservations (contiguous storage).
+  /// Reservation granularity in tokens: the page_tokens of the
+  /// mem::PagePool the node KvCaches share (DESIGN.md §14).  A node's pages
+  /// are charged in whole-page units, so its reservation rounds the token
+  /// count up to a page boundary to stay an upper bound on the bytes it can
+  /// end up owning once its sharers release.  0 = the default page size,
+  /// which is what a decoder built without a pool pages with.
   std::size_t page_tokens = 0;
   /// Disk-spill backend for evicted leaves (DESIGN.md §16); null = evicted
   /// entries are dropped.  Not owned; must outlive the cache.
   KvSpillBackend* spill = nullptr;
-  /// Pool spill reloads restore into.  Must be set to the serving pool when
-  /// node KvCaches are paged (reloaded nodes must match the storage mode of
-  /// inserted ones); null = contiguous reloads.
+  /// Pool spill reloads restore into — set it to the serving pool so hits
+  /// on a reloaded node share pages zero-copy.  Null = each reload gets a
+  /// private pool and its hits are row copies into the slot's pool.
   mem::PagePool* reload_pool = nullptr;
 };
 
@@ -124,8 +125,9 @@ class PrefixCache {
   Lookup acquire(std::span<const int> tokens, std::size_t max_tokens,
                  std::size_t surcharge_per_token);
 
-  /// Copies the matched prefix into `dst` (KvCache::copy_prefix) and bumps
-  /// the saved-prefill-tokens counter.  Requires a hit Lookup.
+  /// Forks the matched prefix into `dst` (KvCache::copy_prefix: zero-copy
+  /// on the node's pool, a row copy across pools) and bumps the
+  /// saved-prefill-tokens counter.  Requires a hit Lookup.
   void copy_to(const Lookup& lookup, lm::KvCache& dst);
 
   /// Unpins the Lookup's node (no-op for a miss) and resets it.  The
@@ -150,8 +152,8 @@ class PrefixCache {
   /// to give up under pressure.
   std::size_t shed(std::size_t bytes);
 
-  /// Routes node-KV accounting and reservations through `budget` (null
-  /// detaches).  Must only be called while the cache is empty.
+  /// Routes node reservations through `budget` (null detaches).  Must
+  /// only be called while the cache is empty.
   void bind_budget(guard::Budget* budget);
 
   /// The token-id paths of every cached leaf, longest first.  This is the
@@ -168,12 +170,9 @@ class PrefixCache {
 
  private:
   std::size_t node_bytes(std::size_t n_tokens) const noexcept {
-    if (config_.page_tokens > 1) {
-      const std::size_t pages =
-          (n_tokens + config_.page_tokens - 1) / config_.page_tokens;
-      return pages * config_.page_tokens * bytes_per_token_;
-    }
-    return n_tokens * bytes_per_token_;
+    const std::size_t pages =
+        (n_tokens + config_.page_tokens - 1) / config_.page_tokens;
+    return pages * config_.page_tokens * bytes_per_token_;
   }
   /// Reserves `bytes` for a new node, evicting as needed; false = give up.
   bool reserve_node_bytes(std::size_t bytes);

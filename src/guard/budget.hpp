@@ -8,11 +8,11 @@
 //     request's peak footprint (KV cache for prompt + max_tokens, plus logits
 //     scratch), taken with try_reserve() before prefill and released when the
 //     request retires.  A failed reservation is the shedding trigger.
-//   * accounted bytes — the *actual* allocation trail, reported by
-//     lm::TransformerLm::KvCache and the batched-decode scratch as they grow
-//     and shrink.  Because per-request estimates are upper bounds, accounted
-//     bytes never exceed reserved bytes, and therefore never exceed the
-//     limit — the invariant the soak harness asserts.
+//   * accounted bytes — the *actual* allocation trail, reported by the KV
+//     mem::PagePool (once per in-use page) and the batched-decode scratch
+//     as they grow and shrink.  Because per-request estimates are upper
+//     bounds, accounted bytes never exceed reserved bytes, and therefore
+//     never exceed the limit — the invariant the soak harness asserts.
 //
 // Both meters are lock-free atomics; a Budget is safe to share between the
 // scheduler thread, pool workers growing KV caches, and harness threads

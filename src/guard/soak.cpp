@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -133,6 +132,17 @@ void tally(SoakReport::ClassStats& stats, serve::RequestStatus status) {
 }
 
 constexpr std::size_t kMaxPromptLen = 11;
+
+/// KV page pool for one soak engine (DESIGN.md §14).  8-token pages keep
+/// the page-rounding and copy-on-write slack of one request well inside
+/// the auto-sized budget.
+mem::PagePoolConfig soak_pool_config(const lm::TransformerConfig& model) {
+  mem::PagePoolConfig config;
+  config.page_tokens = 8;
+  config.n_layer = static_cast<std::size_t>(model.n_layer);
+  config.d_model = static_cast<std::size_t>(model.d_model);
+  return config;
+}
 
 /// Tokens of the per-class shared prompt prefix: long enough for radix
 /// hits to matter, short enough that prompts stay mostly random tail.
@@ -265,7 +275,6 @@ SoakReport run_fleet_soak(const SoakOptions& options) {
   SoakReport report;
   report.replicas = options.replicas;
   report.budget_bytes = child_limit * options.replicas;
-  report.paged_kv = false;
 
   // Budget hierarchy outlives every replica: a dying replica's retiring
   // requests release their reservations through child -> parent, so the
@@ -276,6 +285,14 @@ SoakReport run_fleet_soak(const SoakOptions& options) {
   for (std::size_t r = 0; r < options.replicas; ++r) {
     child_budgets.push_back(
         std::make_unique<Budget>(child_limit, &global_budget));
+  }
+  // One KV pool per replica, outliving the fleet scope below so the
+  // pool-drained grade can be read once every stack has released its
+  // pages.
+  std::vector<std::unique_ptr<mem::PagePool>> pools;
+  for (std::size_t r = 0; r < options.replicas; ++r) {
+    pools.push_back(
+        std::make_unique<mem::PagePool>(soak_pool_config(model_config)));
   }
 
   const serve::Priority kClasses[] = {
@@ -315,9 +332,13 @@ SoakReport run_fleet_soak(const SoakOptions& options) {
       ReplicaStack& stack = fleet[r];
       stack.model =
           std::make_unique<lm::TransformerLm>(model_config, options.seed);
-      stack.cache = std::make_unique<cache::PrefixCache>(*stack.model);
+      cache::PrefixCacheConfig cache_config;
+      cache_config.page_tokens = pools[r]->page_tokens();
+      stack.cache =
+          std::make_unique<cache::PrefixCache>(*stack.model, cache_config);
       stack.decoder = std::make_unique<serve::TransformerBatchDecoder>(
-          *stack.model, options.max_batch, /*parallel=*/false, nullptr);
+          *stack.model, options.max_batch, /*parallel=*/false,
+          pools[r].get());
       if (options.prefix_cache) {
         stack.decoder->set_prefix_cache(stack.cache.get());
       }
@@ -508,9 +529,10 @@ SoakReport run_fleet_soak(const SoakOptions& options) {
   report.budget_ok = report.accounted_peak_bytes <= report.budget_bytes;
   report.shed_ordering_ok = report.high.shed == 0 && report.normal.shed == 0;
   report.high_served = report.high.ok > 0 && report.high.shed == 0;
+  for (const auto& pool : pools) report.pool_pages_end += pool->pages_in_use();
+  report.pool_drained = report.pool_pages_end == 0;
   // Single-engine-only grades hold trivially in fleet mode.
   report.rss_ok = true;
-  report.pool_drained = true;
   report.eviction_pressure_ok = true;
   report.breaker_exercised = true;
   // With resurrection chasing the kills, a replica's dead window shrinks
@@ -577,12 +599,7 @@ SoakReport run_soak(const SoakOptions& options) {
   // prefix cache in the scope below have released every page handle.
   // That ordering is what makes the pool-drained grade meaningful: by the
   // time it is sampled, nothing may legitimately hold a page.
-  mem::PagePoolConfig pool_config;
-  pool_config.page_tokens = 8;
-  pool_config.n_layer = static_cast<std::size_t>(model_config.n_layer);
-  pool_config.d_model = static_cast<std::size_t>(model_config.d_model);
-  std::optional<mem::PagePool> pool;
-  if (options.paged_kv) pool.emplace(pool_config);
+  mem::PagePool pool(soak_pool_config(model_config));
 
   obs::Registry& reg = obs::Registry::global();
   const std::uint64_t hits0 = reg.counter("cache.prefix.hits").value();
@@ -604,7 +621,6 @@ SoakReport run_soak(const SoakOptions& options) {
 
   SoakReport report;
   report.budget_bytes = budget_bytes;
-  report.paged_kv = options.paged_kv;
 
   const serve::Priority kClasses[] = {
       serve::Priority::High, serve::Priority::Normal, serve::Priority::Batch,
@@ -613,18 +629,17 @@ SoakReport run_soak(const SoakOptions& options) {
   std::atomic<std::size_t> crashes{0};
 
   {
-    // Prefix cache between pool and decoder: nodes uncharge into the
-    // budget (and release pages into the pool) on destruction and the
-    // decoder holds a raw pointer, so it must outlive the decoder and die
-    // before the pool and budget.  When paged, node reservations round up
-    // to page granularity so they stay upper bounds on owned bytes.
+    // Prefix cache between pool and decoder: nodes release their budget
+    // reservations and pages on destruction and the decoder holds a raw
+    // pointer, so it must outlive the decoder and die before the pool and
+    // budget.  Node reservations round up to page granularity so they
+    // stay upper bounds on owned bytes.
     cache::PrefixCacheConfig cache_config;
-    if (pool) cache_config.page_tokens = pool->page_tokens();
+    cache_config.page_tokens = pool.page_tokens();
     cache::PrefixCache prefix_cache(model, cache_config);
 
     serve::TransformerBatchDecoder inner(model, options.max_batch,
-                                         /*parallel=*/true,
-                                         pool ? &*pool : nullptr);
+                                         /*parallel=*/true, &pool);
     if (options.prefix_cache) inner.set_prefix_cache(&prefix_cache);
     std::atomic<bool> sick{false};
     SickWindowDecoder decoder(inner, sick);
@@ -725,7 +740,7 @@ SoakReport run_soak(const SoakOptions& options) {
       reg.counter("cache.prefix.inserts").value() - inserts0;
   report.cache_evictions =
       reg.counter("cache.prefix.evictions").value() - evictions0;
-  report.pool_pages_end = pool ? pool->pages_in_use() : 0;
+  report.pool_pages_end = pool.pages_in_use();
   report.pool_cow_copies = reg.counter("mem.pool.cow_copies").value() - cow0;
   report.pool_exhausted =
       reg.counter("mem.pool.exhausted").value() - exhausted0;
@@ -746,7 +761,7 @@ SoakReport run_soak(const SoakOptions& options) {
   report.shed_ordering_ok = report.high.shed == 0 && report.normal.shed == 0;
   report.high_served = report.high.ok > 0 && report.high.shed == 0;
   report.breaker_exercised = breaker.opened() > 0;
-  report.pool_drained = !pool.has_value() || report.pool_pages_end == 0;
+  report.pool_drained = report.pool_pages_end == 0;
   // Eviction under pressure: a half-load budget that actually denied
   // reservations must also have squeezed cached state out — otherwise the
   // cache hoarded bytes while live work was refused.  No denials = no
@@ -807,7 +822,6 @@ util::Table soak_table(const SoakReport& report, bool sick_window) {
        std::to_string(report.cache_hits) + "/" +
            std::to_string(report.cache_inserts) + "/" +
            std::to_string(report.cache_evictions));
-  fact("kv backing", report.paged_kv ? "paged" : "contiguous");
   if (report.replicas > 1) {
     fact("replicas", std::to_string(report.replicas));
     fact("replica kills/stalls", std::to_string(report.replica_kills) + "/" +
@@ -818,13 +832,13 @@ util::Table soak_table(const SoakReport& report, bool sick_window) {
     fact("replica revives", std::to_string(report.replica_revives));
     fact("lost requests", std::to_string(report.lost_requests));
   }
-  if (report.paged_kv) {
+  if (report.replicas == 1) {
     fact("pool cow/exhausted/zero-copy",
          std::to_string(report.pool_cow_copies) + "/" +
              std::to_string(report.pool_exhausted) + "/" +
              std::to_string(report.pool_zero_copy_hits));
-    fact("pool pages after teardown", std::to_string(report.pool_pages_end));
   }
+  fact("pool pages after teardown", std::to_string(report.pool_pages_end));
   if (!report.rss_kb.empty()) {
     fact("rss_kb first..last", std::to_string(report.rss_kb.front()) +
                                    ".." +
@@ -848,7 +862,7 @@ util::Table soak_table(const SoakReport& report, bool sick_window) {
   verdict("shed ordering (batch only)", report.shed_ordering_ok);
   verdict("high priority served", report.high_served);
   verdict("rss stable", report.rss_ok);
-  if (report.paged_kv) verdict("pool drained", report.pool_drained);
+  verdict("pool drained", report.pool_drained);
   verdict("eviction under pressure", report.eviction_pressure_ok);
   if (report.replicas > 1) {
     verdict("failover exercised", report.failover_ok);

@@ -57,12 +57,6 @@ struct SoakOptions {
   /// cache sees hits, inserts and — under the half-load budget — LRU
   /// evictions, all while the §11 invariants stay graded.
   bool prefix_cache = true;
-  /// Back every slot's KV cache with a mem::PagePool (DESIGN.md §14): the
-  /// soak then also exercises page refcounting, copy-on-write and
-  /// zero-copy prefix sharing under sustained overload, and grades that
-  /// the pool drains completely at teardown.  `lmpeel soak
-  /// --contiguous-kv` is the escape hatch back to flat KV buffers.
-  bool paged_kv = true;
   /// Fleet mode (DESIGN.md §15): > 1 runs this many engine replicas —
   /// identical weights, per-replica guard::Budget children under one
   /// global cap — behind a shard::Router, and the clients hammer the
@@ -112,9 +106,8 @@ struct SoakReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_inserts = 0;
   std::uint64_t cache_evictions = 0;
-  // Paged-pool activity (deltas / end state; all zero when
-  // options.paged_kv is off).
-  bool paged_kv = false;              ///< echoed from options
+  // Paged-pool activity (counter deltas single-engine only; end state in
+  // both modes).
   std::size_t pool_pages_end = 0;     ///< pages still held after teardown
   std::uint64_t pool_cow_copies = 0;  ///< copy-on-write page copies
   std::uint64_t pool_exhausted = 0;   ///< allocations refused at max_pages
@@ -145,8 +138,8 @@ struct SoakReport {
   bool high_served = false;       ///< High traffic kept completing
   bool rss_ok = false;            ///< no monotonic RSS growth post-warmup
   bool breaker_exercised = false; ///< sick window opened the breaker
-  /// Every pool page returned to the free list after teardown (true when
-  /// running contiguous — nothing to drain).
+  /// Every pool page returned to the free list after teardown (in fleet
+  /// mode: every replica's pool).
   bool pool_drained = false;
   /// The budget visibly squeezed the prefix cache: either LRU evictions
   /// happened, or there was never any reservation pressure to evict for

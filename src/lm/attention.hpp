@@ -21,11 +21,12 @@ namespace lmpeel::lm {
 /// normalised probabilities into prow[0..n) and the blended values into
 /// ctx[0..hd).  Key/value rows are gathered from `spans` — each span's
 /// `k`/`v` point at its first row and successive rows are `stride` floats
-/// apart; `head_off` selects the head slice within a row.  A contiguous
-/// cache passes exactly one span, a paged cache one span per page, and the
-/// per-position float operations are identical either way (only the pointer
-/// arithmetic between rows differs), so paged and contiguous attention are
-/// bit-identical by construction (DESIGN.md §14).
+/// apart; `head_off` selects the head slice within a row.  forward()
+/// passes one span over its packed QKV rows, a paged cache one span per
+/// page, and the per-position float operations are identical either way
+/// (only the pointer arithmetic between rows differs), so paged attention
+/// is bit-identical to the serial reference by construction (DESIGN.md
+/// §14).
 [[gnu::noinline]] void attend_row(const float* q, const mem::KvSpan* spans,
                                   std::size_t n_spans, std::size_t stride,
                                   std::size_t head_off, std::size_t n,

@@ -4,9 +4,10 @@
 // model through this surface: its shape (config), one-shot prefill,
 // incremental prefill_from, and the batched single-token decode step.
 // TransformerLm (f32, trainable) and quant::QuantizedLm (int8/fp16,
-// inference-only) both implement it, so the whole serve / prefix-cache /
-// paged-KV / recovery stack runs against either backend unchanged — KV rows
-// are f32 in every backend, which is what keeps the prefix-cache and spill
+// inference-only) both implement it over the one layer loop in
+// lm/decoder_body.hpp, so the whole serve / prefix-cache / paged-KV /
+// recovery stack runs against either backend unchanged — KV rows are f32
+// in every backend, which is what keeps the prefix-cache and spill
 // bit-identity guarantees weight-format-independent.
 #pragma once
 
@@ -16,6 +17,7 @@
 
 #include "lm/kv_cache.hpp"
 #include "lm/tensor.hpp"
+#include "util/check.hpp"
 
 namespace lmpeel::lm {
 
@@ -44,14 +46,17 @@ class KvBackend {
   virtual void set_seed(std::uint64_t /*seed*/) {}
 
   /// Seeds an *empty* cache with the key/value pairs of every position of
-  /// `tokens` in one full pass, returning the logits after the last token
-  /// in `out` (vocab_size() floats).
+  /// `tokens`, returning the logits after the last token in `out`
+  /// (vocab_size() floats): prefill_from() on a cache CHECKed empty.
   virtual void prefill(KvCache& cache, std::span<const int> tokens,
-                       std::span<float> out) = 0;
+                       std::span<float> out) {
+    LMPEEL_CHECK_MSG(cache.length() == 0, "prefill requires an empty cache");
+    prefill_from(cache, tokens, out);
+  }
 
-  /// Extends a cache already holding cache.length() prefix positions with
+  /// Extends a cache holding cache.length() positions (possibly none) with
   /// `suffix` (non-empty), returning the logits after the last suffix
-  /// token.  Delegates to prefill() when the cache is empty.
+  /// token.
   virtual void prefill_from(KvCache& cache, std::span<const int> suffix,
                             std::span<float> out) = 0;
 

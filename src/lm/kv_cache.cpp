@@ -6,39 +6,65 @@
 
 namespace lmpeel::lm {
 
-void KvCache::copy_prefix(const KvCache& src, std::size_t n_tokens) {
+KvCache& KvCache::operator=(KvCache&& other) noexcept {
+  if (this != &other) {
+    // Pages first, pool second: the old handles release into the old pool
+    // while owned_pool_ still keeps it alive.
+    paged_ = std::move(other.paged_);
+    owned_pool_ = std::move(other.owned_pool_);
+    length_ = std::exchange(other.length_, 0);
+    other.paged_ = mem::PagedKv{};
+  }
+  return *this;
+}
+
+void KvCache::attach_pool(mem::PagePool* pool) {
+  if (pool == this->pool()) return;
+  paged_.attach(pool);
+  owned_pool_.reset();
+}
+
+void KvCache::attach_pool(std::shared_ptr<mem::PagePool> pool) {
+  paged_.attach(pool.get());
+  owned_pool_ = std::move(pool);
+}
+
+void KvCache::grow(std::size_t n, std::size_t n_layer, std::size_t d_model) {
+  if (pool() == nullptr) {
+    mem::PagePoolConfig config;
+    config.n_layer = n_layer;
+    config.d_model = d_model;
+    attach_pool(std::make_shared<mem::PagePool>(config));
+  }
+  LMPEEL_CHECK_MSG(pool()->config().n_layer == n_layer &&
+                       pool()->config().d_model == d_model,
+                   "KvCache pool shape does not match the model");
+  paged_.grow(length_, length_ + n);
+}
+
+bool KvCache::copy_prefix(const KvCache& src, std::size_t n_tokens) {
   LMPEEL_CHECK(n_tokens <= src.length_);
-  if (src.paged()) {
+  clear();
+  if (pool() == nullptr && src.pool() != nullptr) {
+    paged_.attach(src.pool());
+    owned_pool_ = src.owned_pool_;
+  }
+  if (n_tokens == 0) return true;
+  if (pool() == src.pool()) {
     // Zero-copy fork: share the page handles covering [0, n_tokens).  No
     // floats move; grow() copy-on-writes the boundary page at the first
     // append, so both forks stay independent.
-    keys_.clear();
-    values_.clear();
-    paged_.reset();
-    if (!paged_.attached()) paged_.attach(src.paged_.pool());
     paged_.share_from(src.paged_, n_tokens);
     length_ = n_tokens;
-    account();
-    return;
+    return true;
   }
-  LMPEEL_CHECK_MSG(!paged(),
-                   "cannot copy a contiguous prefix into a paged cache");
-  keys_.assign(src.keys_.size(), {});
-  values_.assign(src.values_.size(), {});
-  if (n_tokens > 0) {
-    // src rows are `d` floats, contiguous by position.
-    const std::size_t d = src.keys_.front().size() / src.length_;
-    for (std::size_t l = 0; l < src.keys_.size(); ++l) {
-      keys_[l].assign(src.keys_[l].begin(),
-                      src.keys_[l].begin() +
-                          static_cast<std::ptrdiff_t>(n_tokens * d));
-      values_[l].assign(src.values_[l].begin(),
-                        src.values_[l].begin() +
-                            static_cast<std::ptrdiff_t>(n_tokens * d));
-    }
-  }
-  length_ = n_tokens;
-  account();
+  // Pages cannot be shared across pools (each pool accounts its own), so
+  // the rows are copied through the spill dump format.
+  const mem::PagePoolConfig& shape = src.pool()->config();
+  std::vector<float> keys, values;
+  src.export_rows(n_tokens, shape.n_layer, shape.d_model, keys, values);
+  restore_rows(n_tokens, shape.n_layer, shape.d_model, keys, values);
+  return false;
 }
 
 void KvCache::export_rows(std::size_t n_tokens, std::size_t n_layer,
@@ -48,28 +74,18 @@ void KvCache::export_rows(std::size_t n_tokens, std::size_t n_layer,
   keys.assign(n_tokens * n_layer * d_model, 0.0f);
   values.assign(n_tokens * n_layer * d_model, 0.0f);
   if (n_tokens == 0) return;
-  if (paged()) {
-    std::vector<mem::KvSpan> spans;
-    for (std::size_t l = 0; l < n_layer; ++l) {
-      float* kdst = keys.data() + l * n_tokens * d_model;
-      float* vdst = values.data() + l * n_tokens * d_model;
-      paged_.spans(l, n_tokens, spans);
-      std::size_t t = 0;
-      for (const mem::KvSpan& s : spans) {
-        std::copy_n(s.k, s.tokens * d_model, kdst + t * d_model);
-        std::copy_n(s.v, s.tokens * d_model, vdst + t * d_model);
-        t += s.tokens;
-      }
-      LMPEEL_CHECK(t == n_tokens);
+  std::vector<mem::KvSpan> run;
+  for (std::size_t l = 0; l < n_layer; ++l) {
+    float* kdst = keys.data() + l * n_tokens * d_model;
+    float* vdst = values.data() + l * n_tokens * d_model;
+    spans(l, n_tokens, run);
+    std::size_t t = 0;
+    for (const mem::KvSpan& s : run) {
+      std::copy_n(s.k, s.tokens * d_model, kdst + t * d_model);
+      std::copy_n(s.v, s.tokens * d_model, vdst + t * d_model);
+      t += s.tokens;
     }
-  } else {
-    LMPEEL_CHECK(keys_.size() >= n_layer);
-    for (std::size_t l = 0; l < n_layer; ++l) {
-      std::copy_n(keys_[l].data(), n_tokens * d_model,
-                  keys.data() + l * n_tokens * d_model);
-      std::copy_n(values_[l].data(), n_tokens * d_model,
-                  values.data() + l * n_tokens * d_model);
-    }
+    LMPEEL_CHECK(t == n_tokens);
   }
 }
 
@@ -79,28 +95,16 @@ void KvCache::restore_rows(std::size_t n_tokens, std::size_t n_layer,
   LMPEEL_CHECK(keys.size() == n_tokens * n_layer * d_model);
   LMPEEL_CHECK(values.size() == keys.size());
   clear();
-  if (paged()) {
-    paged_.grow(0, n_tokens);
-    for (std::size_t l = 0; l < n_layer; ++l) {
-      const float* ksrc = keys.data() + l * n_tokens * d_model;
-      const float* vsrc = values.data() + l * n_tokens * d_model;
-      for (std::size_t t = 0; t < n_tokens; ++t) {
-        std::copy_n(ksrc + t * d_model, d_model, paged_.k_row(l, t));
-        std::copy_n(vsrc + t * d_model, d_model, paged_.v_row(l, t));
-      }
-    }
-  } else {
-    keys_.assign(n_layer, {});
-    values_.assign(n_layer, {});
-    for (std::size_t l = 0; l < n_layer; ++l) {
-      const float* ksrc = keys.data() + l * n_tokens * d_model;
-      const float* vsrc = values.data() + l * n_tokens * d_model;
-      keys_[l].assign(ksrc, ksrc + n_tokens * d_model);
-      values_[l].assign(vsrc, vsrc + n_tokens * d_model);
+  grow(n_tokens, n_layer, d_model);
+  for (std::size_t l = 0; l < n_layer; ++l) {
+    const float* ksrc = keys.data() + l * n_tokens * d_model;
+    const float* vsrc = values.data() + l * n_tokens * d_model;
+    for (std::size_t t = 0; t < n_tokens; ++t) {
+      std::copy_n(ksrc + t * d_model, d_model, k_row(l, t));
+      std::copy_n(vsrc + t * d_model, d_model, v_row(l, t));
     }
   }
-  length_ = n_tokens;
-  account();
+  commit(n_tokens);
 }
 
 }  // namespace lmpeel::lm

@@ -249,6 +249,13 @@ namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 }
 
+void add_into(Tensor& dst, const Tensor& src) {
+  LMPEEL_CHECK(dst.size() == src.size());
+  float* d = dst.data();
+  const float* s = src.data();
+  for (std::size_t i = 0; i < dst.size(); ++i) d[i] += s[i];
+}
+
 void gelu(const Tensor& x, Tensor& y) {
   LMPEEL_CHECK(x.rows() == y.rows() && x.cols() == y.cols());
   const float* xs = x.data();

@@ -67,6 +67,9 @@ void layer_norm_backward(const Tensor& x, std::span<const float> gamma,
                          Tensor& dx, std::span<float> dgamma,
                          std::span<float> dbeta);
 
+/// dst += src elementwise (the residual add); sizes must match.
+void add_into(Tensor& dst, const Tensor& src);
+
 /// GELU (tanh approximation) and its derivative-times-grad.
 void gelu(const Tensor& x, Tensor& y);
 void gelu_backward(const Tensor& x, const Tensor& dy, Tensor& dx);

@@ -31,14 +31,7 @@ void bias_grad(const Tensor& dy, Tensor& db) {
   }
 }
 
-void add_into(Tensor& dst, const Tensor& src) {
-  LMPEEL_CHECK(dst.size() == src.size());
-  float* d = dst.data();
-  const float* s = src.data();
-  for (std::size_t i = 0; i < dst.size(); ++i) d[i] += s[i];
-}
-
-// The per-row kernels shared between forward(), decode_batch() and the
+// The per-row kernels shared between forward(), the inference body and the
 // quantized backend (attend_row / tied_head_row / embed_row) live in
 // lm/attention.cpp — one noinline machine-code copy for every caller, which
 // is what the bit-identity guarantees rest on.
@@ -226,401 +219,53 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
   }
 }
 
-void TransformerLm::prefill(KvCache& cache, std::span<const int> tokens,
-                            std::span<float> out) {
-  obs::Span span("lm.transformer.prefill");
-  LMPEEL_CHECK_MSG(cache.length() == 0, "prefill requires an empty cache");
-  LMPEEL_CHECK(!tokens.empty());
-  LMPEEL_CHECK(tokens.size() <= static_cast<std::size_t>(config_.max_seq));
-  LMPEEL_CHECK(out.size() == static_cast<std::size_t>(config_.vocab));
-
-  Cache fwd;
-  forward(tokens, &fwd, out);
-
-  // Lift each position's key/value slice out of the cached QKV projections;
-  // these are the exact floats decode_batch would have appended.
-  const auto d = static_cast<std::size_t>(config_.d_model);
-  const std::size_t t_len = tokens.size();
-  if (cache.paged()) {
-    cache.paged_.grow(0, t_len);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const Tensor& qkv = fwd.layers[l].qkv;
-      for (std::size_t t = 0; t < t_len; ++t) {
-        const float* row = qkv.data() + t * 3 * d;
-        std::copy_n(row + d, d, cache.paged_.k_row(l, t));
-        std::copy_n(row + 2 * d, d, cache.paged_.v_row(l, t));
-      }
-    }
-  } else {
-    cache.keys_.assign(layers_.size(), {});
-    cache.values_.assign(layers_.size(), {});
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const Tensor& qkv = fwd.layers[l].qkv;
-      std::vector<float>& kcache = cache.keys_[l];
-      std::vector<float>& vcache = cache.values_[l];
-      kcache.resize(t_len * d);
-      vcache.resize(t_len * d);
-      for (std::size_t t = 0; t < t_len; ++t) {
-        const float* row = qkv.data() + t * 3 * d;
-        std::copy_n(row + d, d, kcache.data() + t * d);
-        std::copy_n(row + 2 * d, d, vcache.data() + t * d);
-      }
-    }
-  }
-  cache.length_ = t_len;
-  cache.account();
-}
-
 void TransformerLm::prefill_from(KvCache& cache, std::span<const int> suffix,
                                  std::span<float> out) {
-  if (cache.length_ == 0) {
-    prefill(cache, suffix, out);
-    return;
-  }
   obs::Span span("lm.transformer.prefill_from");
-  // Only the suffix is forwarded — the drop in this counter relative to a
-  // full prefill is the serve-bench "saved prefill" evidence.
-  obs::Registry::global().counter("lm.transformer.forward_tokens")
-      .add(suffix.size());
-  const std::size_t base = cache.length_;
-  const std::size_t s_len = suffix.size();
-  LMPEEL_CHECK_MSG(s_len > 0, "prefill_from requires a non-empty suffix");
-  LMPEEL_CHECK(base + s_len <= static_cast<std::size_t>(config_.max_seq));
-  if (!cache.paged()) LMPEEL_CHECK(cache.keys_.size() == layers_.size());
-  LMPEEL_CHECK(out.size() == static_cast<std::size_t>(config_.vocab));
-  // One grow covers all layers (a page packs every layer's K/V block);
-  // this is also where a shared boundary page copy-on-writes.
-  if (cache.paged()) cache.paged_.grow(base, base + s_len);
-  const auto d = static_cast<std::size_t>(config_.d_model);
-  const auto n_head = static_cast<std::size_t>(config_.n_head);
-  const std::size_t hd = d / n_head;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  // Suffix rows sit at absolute positions [base, base+s_len); positional
-  // embeddings are absolute, so cached prefix rows line up regardless of
-  // which prompt originally produced them.
-  Tensor x(s_len, d);
-  for (std::size_t t = 0; t < s_len; ++t) {
-    const int id = suffix[t];
-    LMPEEL_CHECK(id >= 0 && id < config_.vocab);
-    embed_row(tok_emb_, pos_emb_, id, base + t, x.data() + t * d);
-  }
-
-  LayerNormCache ln_scratch;
-  std::vector<float> prow;
-  std::vector<mem::KvSpan> spans;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Layer& layer = layers_[l];
-
-    Tensor a(s_len, d);
-    layer_norm(x, layer.ln1_g.row(0), layer.ln1_b.row(0), a, ln_scratch);
-
-    Tensor qkv(s_len, 3 * d);
-    matmul(a, layer.w_qkv, qkv);
-    add_bias(qkv, layer.b_qkv);
-
-    // Append every suffix K/V row before attending: row t must see keys
-    // for positions [0, base+t], all of which are in the cache once rows
-    // 0..t are appended (attend_row then reads a strict prefix of it).
-    if (cache.paged()) {
-      for (std::size_t t = 0; t < s_len; ++t) {
-        const float* row = qkv.data() + t * 3 * d;
-        std::copy_n(row + d, d, cache.paged_.k_row(l, base + t));
-        std::copy_n(row + 2 * d, d, cache.paged_.v_row(l, base + t));
-      }
-      cache.paged_.spans(l, base + s_len, spans);
-    } else {
-      std::vector<float>& kcache = cache.keys_[l];
-      std::vector<float>& vcache = cache.values_[l];
-      for (std::size_t t = 0; t < s_len; ++t) {
-        const float* row = qkv.data() + t * 3 * d;
-        kcache.insert(kcache.end(), row + d, row + 2 * d);
-        vcache.insert(vcache.end(), row + 2 * d, row + 3 * d);
-      }
-      spans.assign(
-          1, mem::KvSpan{kcache.data(), vcache.data(), base + s_len});
-    }
-
-    Tensor ctx(s_len, d);
-    for (std::size_t t = 0; t < s_len; ++t) {
-      const std::size_t t_len = base + t + 1;
-      prow.resize(t_len);
-      const float* row = qkv.data() + t * 3 * d;
-      for (std::size_t h = 0; h < n_head; ++h) {
-        attend_row(row + h * hd, spans.data(), spans.size(), d, h * hd,
-                   t_len, hd, scale, prow.data(),
-                   ctx.data() + t * d + h * hd);
-      }
-    }
-
-    Tensor attn(s_len, d);
-    matmul(ctx, layer.w_o, attn);
-    add_bias(attn, layer.b_o);
-    add_into(x, attn);
-
-    Tensor m(s_len, d);
-    layer_norm(x, layer.ln2_g.row(0), layer.ln2_b.row(0), m, ln_scratch);
-    Tensor h1(s_len, 4 * d);
-    matmul(m, layer.w_fc1, h1);
-    add_bias(h1, layer.b_fc1);
-    Tensor g(s_len, 4 * d);
-    gelu(h1, g);
-    Tensor h2(s_len, d);
-    matmul(g, layer.w_fc2, h2);
-    add_bias(h2, layer.b_fc2);
-    add_into(x, h2);
-  }
-
-  Tensor f(s_len, d);
-  layer_norm(x, lnf_g_.row(0), lnf_b_.row(0), f, ln_scratch);
-  tied_head_row(tok_emb_, f.data() + (s_len - 1) * d, config_.vocab,
-                out.data());
-  cache.length_ = base + s_len;
-  cache.account();
+  prefill_rows(*this, config_, cache, suffix, out);
 }
 
 void TransformerLm::decode_batch(std::span<KvCache* const> caches,
                                  std::span<const int> tokens,
                                  Tensor& logits_out) {
   obs::Span span("lm.transformer.decode_batch");
-  const std::size_t batch = caches.size();
-  LMPEEL_CHECK(batch > 0 && tokens.size() == batch);
-  LMPEEL_CHECK(logits_out.rows() == batch &&
-               logits_out.cols() == static_cast<std::size_t>(config_.vocab));
-  obs::Registry::global().counter("lm.transformer.decode_tokens").add(batch);
-  const auto d = static_cast<std::size_t>(config_.d_model);
-  const auto n_head = static_cast<std::size_t>(config_.n_head);
-  const std::size_t hd = d / n_head;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-
-  Tensor x(batch, d);
-  for (std::size_t b = 0; b < batch; ++b) {
-    KvCache& cache = *caches[b];
-    if (cache.paged()) {
-      // Allocating here (and not per layer) keeps PoolExhausted confined
-      // to this loop: no K/V row has been written yet when it throws.
-      cache.paged_.grow(cache.length_, cache.length_ + 1);
-    } else {
-      if (cache.keys_.empty()) {
-        cache.keys_.assign(layers_.size(), {});
-        cache.values_.assign(layers_.size(), {});
-      }
-      LMPEEL_CHECK(cache.keys_.size() == layers_.size());
-    }
-    LMPEEL_CHECK(cache.length_ + 1 <=
-                 static_cast<std::size_t>(config_.max_seq));
-    LMPEEL_CHECK(tokens[b] >= 0 && tokens[b] < config_.vocab);
-    embed_row(tok_emb_, pos_emb_, tokens[b], cache.length_,
-              x.data() + b * d);
-  }
-
-  LayerNormCache ln_scratch;
-  std::vector<float> prow;  // per-(sequence, head) attention scratch
-  std::vector<mem::KvSpan> spans;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Layer& layer = layers_[l];
-
-    Tensor a(batch, d);
-    layer_norm(x, layer.ln1_g.row(0), layer.ln1_b.row(0), a, ln_scratch);
-
-    Tensor qkv(batch, 3 * d);
-    matmul(a, layer.w_qkv, qkv);
-    add_bias(qkv, layer.b_qkv);
-
-    Tensor ctx(batch, d);
-    for (std::size_t b = 0; b < batch; ++b) {
-      KvCache& cache = *caches[b];
-      const float* row = qkv.data() + b * 3 * d;
-      const std::size_t t_len = cache.length_ + 1;
-      if (cache.paged()) {
-        std::copy_n(row + d, d, cache.paged_.k_row(l, cache.length_));
-        std::copy_n(row + 2 * d, d, cache.paged_.v_row(l, cache.length_));
-        cache.paged_.spans(l, t_len, spans);
-      } else {
-        std::vector<float>& kcache = cache.keys_[l];
-        std::vector<float>& vcache = cache.values_[l];
-        kcache.insert(kcache.end(), row + d, row + 2 * d);
-        vcache.insert(vcache.end(), row + 2 * d, row + 3 * d);
-        spans.assign(1, mem::KvSpan{kcache.data(), vcache.data(), t_len});
-      }
-
-      prow.resize(t_len);
-      for (std::size_t h = 0; h < n_head; ++h) {
-        attend_row(row + h * hd, spans.data(), spans.size(), d, h * hd,
-                   t_len, hd, scale, prow.data(),
-                   ctx.data() + b * d + h * hd);
-      }
-    }
-
-    Tensor attn(batch, d);
-    matmul(ctx, layer.w_o, attn);
-    add_bias(attn, layer.b_o);
-    add_into(x, attn);
-
-    Tensor m(batch, d);
-    layer_norm(x, layer.ln2_g.row(0), layer.ln2_b.row(0), m, ln_scratch);
-    Tensor h1(batch, 4 * d);
-    matmul(m, layer.w_fc1, h1);
-    add_bias(h1, layer.b_fc1);
-    Tensor g(batch, 4 * d);
-    gelu(h1, g);
-    Tensor h2(batch, d);
-    matmul(g, layer.w_fc2, h2);
-    add_bias(h2, layer.b_fc2);
-    add_into(x, h2);
-  }
-
-  Tensor f(batch, d);
-  layer_norm(x, lnf_g_.row(0), lnf_b_.row(0), f, ln_scratch);
-  // Tied output head, blocked over the batch (bit-identical to the
-  // per-row tied_head_row the single-row paths use).
-  matmul_transposed_b(f, tok_emb_, logits_out);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ++caches[b]->length_;
-    caches[b]->account();
-  }
+  decode_rows(*this, config_, caches, tokens, logits_out);
 }
 
-void TransformerLm::decode(KvCache& cache, std::span<const int> tokens,
-                           std::span<float> out) {
-  obs::Span span("lm.transformer.decode");
-  obs::Registry::global().counter("lm.transformer.decode_tokens")
-      .add(tokens.size());
-  LMPEEL_CHECK(!tokens.empty());
-  LMPEEL_CHECK(out.size() == static_cast<std::size_t>(config_.vocab));
-  // The serve paths (prefill/prefill_from/decode_batch) are the paged
-  // consumers; this single-sequence debug path stays contiguous-only.
-  LMPEEL_CHECK_MSG(!cache.paged(), "decode() requires a contiguous cache");
-  const auto d = static_cast<std::size_t>(config_.d_model);
-  const auto n_head = static_cast<std::size_t>(config_.n_head);
-  const std::size_t hd = d / n_head;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+void TransformerLm::embed(int id, std::size_t pos, float* row) const {
+  embed_row(tok_emb_, pos_emb_, id, pos, row);
+}
 
-  if (cache.keys_.empty()) {
-    cache.keys_.assign(layers_.size(), {});
-    cache.values_.assign(layers_.size(), {});
+void TransformerLm::project(std::size_t layer, Proj proj, const Tensor& act,
+                            Tensor& out) const {
+  const Layer& l = layers_[layer];
+  const Tensor* w = &l.w_qkv;
+  const Tensor* b = &l.b_qkv;
+  if (proj == Proj::kAttnOut) {
+    w = &l.w_o;
+    b = &l.b_o;
+  } else if (proj == Proj::kFc1) {
+    w = &l.w_fc1;
+    b = &l.b_fc1;
+  } else if (proj == Proj::kFc2) {
+    w = &l.w_fc2;
+    b = &l.b_fc2;
   }
-  LMPEEL_CHECK(cache.keys_.size() == layers_.size());
-  LMPEEL_CHECK(cache.length_ + tokens.size() <=
-               static_cast<std::size_t>(config_.max_seq));
+  matmul(act, *w, out);
+  add_bias(out, *b);
+}
 
-  std::vector<float> x(d), a(d), qkv(3 * d), ctx_vec(d), attn(d), m(d),
-      h1(4 * d), g1(4 * d), h2(d);
-  LayerNormCache ln_scratch;
+void TransformerLm::head(const Tensor& f, Tensor& logits) const {
+  // Blocked over rows of f; bit-identical to forward()'s per-row
+  // tied_head_row.
+  matmul_transposed_b(f, tok_emb_, logits);
+}
 
-  for (const int id : tokens) {
-    LMPEEL_CHECK(id >= 0 && id < config_.vocab);
-    const std::size_t pos = cache.length_;
-    const float* te = tok_emb_.data() + static_cast<std::size_t>(id) * d;
-    const float* pe = pos_emb_.data() + pos * d;
-    for (std::size_t c = 0; c < d; ++c) x[c] = te[c] + pe[c];
-
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      Layer& layer = layers_[l];
-      // ln1 over the single row
-      {
-        Tensor xin(1, d), aout(1, d);
-        std::copy(x.begin(), x.end(), xin.data());
-        layer_norm(xin, layer.ln1_g.row(0), layer.ln1_b.row(0), aout,
-                   ln_scratch);
-        std::copy(aout.data(), aout.data() + d, a.begin());
-      }
-      // qkv projection for this position
-      for (std::size_t j = 0; j < 3 * d; ++j) {
-        float acc = layer.b_qkv.data()[j];
-        for (std::size_t c = 0; c < d; ++c) {
-          acc += a[c] * layer.w_qkv.data()[c * 3 * d + j];
-        }
-        qkv[j] = acc;
-      }
-      // append k, v to the cache
-      std::vector<float>& kcache = cache.keys_[l];
-      std::vector<float>& vcache = cache.values_[l];
-      kcache.insert(kcache.end(), qkv.begin() + d, qkv.begin() + 2 * d);
-      vcache.insert(vcache.end(), qkv.begin() + 2 * d, qkv.end());
-
-      // attention of the new query over all cached positions
-      const std::size_t t_len = pos + 1;
-      for (std::size_t h = 0; h < n_head; ++h) {
-        const float* q = qkv.data() + h * hd;
-        // scores + softmax over u in [0, t_len)
-        std::vector<float> probs(t_len);
-        float hi = -1e30f;
-        for (std::size_t u = 0; u < t_len; ++u) {
-          const float* k = kcache.data() + u * d + h * hd;
-          float acc = 0.0f;
-          for (std::size_t c = 0; c < hd; ++c) acc += q[c] * k[c];
-          probs[u] = acc * scale;
-          hi = std::max(hi, probs[u]);
-        }
-        float sum = 0.0f;
-        for (std::size_t u = 0; u < t_len; ++u) {
-          probs[u] = std::exp(probs[u] - hi);
-          sum += probs[u];
-        }
-        const float inv = 1.0f / sum;
-        float* ctx_h = ctx_vec.data() + h * hd;
-        std::fill_n(ctx_h, hd, 0.0f);
-        for (std::size_t u = 0; u < t_len; ++u) {
-          const float p = probs[u] * inv;
-          const float* v = vcache.data() + u * d + h * hd;
-          for (std::size_t c = 0; c < hd; ++c) ctx_h[c] += p * v[c];
-        }
-      }
-      // output projection + residual
-      for (std::size_t j = 0; j < d; ++j) {
-        float acc = layer.b_o.data()[j];
-        for (std::size_t c = 0; c < d; ++c) {
-          acc += ctx_vec[c] * layer.w_o.data()[c * d + j];
-        }
-        attn[j] = acc;
-      }
-      for (std::size_t c = 0; c < d; ++c) x[c] += attn[c];
-
-      // MLP block
-      {
-        Tensor xin(1, d), mout(1, d);
-        std::copy(x.begin(), x.end(), xin.data());
-        layer_norm(xin, layer.ln2_g.row(0), layer.ln2_b.row(0), mout,
-                   ln_scratch);
-        std::copy(mout.data(), mout.data() + d, m.begin());
-      }
-      for (std::size_t j = 0; j < 4 * d; ++j) {
-        float acc = layer.b_fc1.data()[j];
-        for (std::size_t c = 0; c < d; ++c) {
-          acc += m[c] * layer.w_fc1.data()[c * 4 * d + j];
-        }
-        h1[j] = acc;
-      }
-      {
-        Tensor h1t(1, 4 * d), g1t(1, 4 * d);
-        std::copy(h1.begin(), h1.end(), h1t.data());
-        gelu(h1t, g1t);
-        std::copy(g1t.data(), g1t.data() + 4 * d, g1.begin());
-      }
-      for (std::size_t j = 0; j < d; ++j) {
-        float acc = layer.b_fc2.data()[j];
-        for (std::size_t c = 0; c < 4 * d; ++c) {
-          acc += g1[c] * layer.w_fc2.data()[c * d + j];
-        }
-        h2[j] = acc;
-      }
-      for (std::size_t c = 0; c < d; ++c) x[c] += h2[c];
-    }
-    ++cache.length_;
-  }
-  cache.account();
-
-  // Final layer norm + tied head for the last position only.
-  Tensor xin(1, d), f(1, d);
-  std::copy(x.begin(), x.end(), xin.data());
-  layer_norm(xin, lnf_g_.row(0), lnf_b_.row(0), f, ln_scratch);
-  for (int v = 0; v < config_.vocab; ++v) {
-    const float* e = tok_emb_.data() + static_cast<std::size_t>(v) * d;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < d; ++c) acc += f.data()[c] * e[c];
-    out[v] = acc;
-  }
+WeightOps::Norm TransformerLm::norm(std::size_t layer, bool second) const {
+  if (layer == layers_.size()) return {lnf_g_.row(0), lnf_b_.row(0)};
+  const Layer& l = layers_[layer];
+  return second ? Norm{l.ln2_g.row(0), l.ln2_b.row(0)}
+                : Norm{l.ln1_g.row(0), l.ln1_b.row(0)};
 }
 
 void TransformerLm::next_logits(std::span<const int> context,

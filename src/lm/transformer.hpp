@@ -20,12 +20,15 @@
 #include <vector>
 
 #include "lm/backend.hpp"
+#include "lm/decoder_body.hpp"
 #include "lm/language_model.hpp"
 #include "lm/tensor.hpp"
 
 namespace lmpeel::lm {
 
-class TransformerLm final : public LanguageModel, public KvBackend {
+class TransformerLm final : public LanguageModel,
+                            public KvBackend,
+                            private WeightOps {
  public:
   TransformerLm(TransformerConfig config, std::uint64_t seed);
 
@@ -38,47 +41,19 @@ class TransformerLm final : public LanguageModel, public KvBackend {
   void set_seed(std::uint64_t /*seed*/) override {}
 
   // ---- incremental inference (KV cache) --------------------------------
-  /// The per-layer key/value cache now lives at namespace scope
+  /// The per-layer key/value cache lives at namespace scope
   /// (lm/kv_cache.hpp) so every KvBackend shares it; the nested alias keeps
   /// the original spelling working everywhere.
   using KvCache = ::lmpeel::lm::KvCache;
 
-  /// Appends `tokens` to the cached sequence and returns the logits after
-  /// the last one in `out`.  Equivalent to next_logits over the whole
-  /// sequence (up to float rounding).  Total cached length must stay
-  /// within config().max_seq.
-  void decode(KvCache& cache, std::span<const int> tokens,
-              std::span<float> out);
-
-  /// Seeds an *empty* cache with the key/value pairs of every position of
-  /// `tokens` in one full forward pass (one O(T²) pass instead of T decode
-  /// steps), returning the logits after the last token.  Bit-identical to
-  /// forward()/next_logits, and leaves the cache ready for decode_batch().
-  void prefill(KvCache& cache, std::span<const int> tokens,
-               std::span<float> out) override;
-
-  /// Extends a cache that already holds cache.length() prefix positions
-  /// with `suffix` (non-empty: logits can only be produced for a token
-  /// that is actually forwarded), returning the logits after the last
-  /// suffix token.  Only suffix.size() positions are computed; prefix K/V
-  /// rows are read from the cache.  Because every kernel is row-independent
-  /// with fixed k-ascending accumulation, the result is bit-identical to
-  /// prefill() over prefix+suffix (DESIGN.md §12).  Delegates to prefill()
-  /// when the cache is empty.
+  /// Both run the shared layer loop (lm/decoder_body.hpp) over this
+  /// model's f32 kernels.  Every kernel matches forward() operation for
+  /// operation, so prefill (KvBackend's default: prefill_from on an empty
+  /// cache), prefill_from at any split, and greedy decoding through
+  /// decode_batch are all bit-identical to next_logits() over the same
+  /// context — the serve engine's equivalence guarantee (DESIGN.md §9).
   void prefill_from(KvCache& cache, std::span<const int> suffix,
                     std::span<float> out) override;
-
-  /// Advances `caches.size()` independent sequences by one token each in a
-  /// single batched step: the shared-weight projections (QKV, attention
-  /// output, both MLP matmuls, the tied head) run over the whole
-  /// [B, d_model] batch so the weight matrices stream through the cache
-  /// once per step instead of once per sequence; attention reads each
-  /// sequence's own cache (lengths may be ragged).  `tokens[i]` is
-  /// appended to sequence i and row i of `logits_out` ([B, vocab])
-  /// receives the logits following it.  Unlike decode(), the arithmetic
-  /// matches forward() operation for operation, so greedy decoding through
-  /// this path is bit-identical to repeated next_logits() calls — the
-  /// serve engine's equivalence guarantee (DESIGN.md §9).
   void decode_batch(std::span<KvCache* const> caches,
                     std::span<const int> tokens, Tensor& logits_out) override;
 
@@ -122,9 +97,18 @@ class TransformerLm final : public LanguageModel, public KvBackend {
   /// Everything the backward pass needs from one forward pass.
   struct Cache;
 
-  /// Runs the forward pass over `ids` (length T); logits for every
-  /// position land in cache.logits.  `cache` may be null for
-  /// inference-only calls paired with `logits_out` for the last position.
+  // ---- WeightOps: today's f32 kernels, for the shared inference body ----
+  void embed(int id, std::size_t pos, float* row) const override;
+  void project(std::size_t layer, Proj proj, const Tensor& act,
+               Tensor& out) const override;
+  void head(const Tensor& f, Tensor& logits) const override;
+  Norm norm(std::size_t layer, bool second) const override;
+
+  /// Runs the training forward pass over `ids` (length T); logits for
+  /// every position land in cache.logits.  `cache` may be null for
+  /// inference-only calls paired with `logits_out` for the last position —
+  /// next_logits(), the serial reference the KV-cached paths are tested
+  /// against.
   void forward(std::span<const int> ids, Cache* cache,
                std::span<float> last_logits_out);
 

@@ -2,9 +2,8 @@
 //
 // A PagedKv is a page table: an ordered run of refcounted PageHandles that
 // together cover the sequence's token positions.  It stores no lengths of
-// its own — lm::KvCache remains the owner of the logical sequence length
-// and passes it into grow()/spans(), so the paged and contiguous storage
-// modes stay drop-in interchangeable behind the same KvCache API.
+// its own — lm::KvCache, its only user, owns the logical sequence length
+// and passes it into grow()/spans().
 //
 // Sharing model: share_from() copies page handles (refcount bumps, zero
 // float copies) — that is the whole zero-copy prefix hit.  Any page with
@@ -23,8 +22,8 @@ namespace lmpeel::mem {
 
 /// One contiguous run of token rows inside a single page: `k`/`v` point at
 /// the first row of the layer's K/V block, rows are d_model floats apart.
-/// The attention kernels gather over a list of these — for contiguous
-/// caches the list is exactly one span, so both storage modes execute the
+/// The attention kernel gathers over a list of these; the training
+/// forward() passes one span over its own QKV rows, so both execute the
 /// same kernel code path (the bit-exactness argument, DESIGN.md §14).
 struct KvSpan {
   const float* k = nullptr;
@@ -39,7 +38,6 @@ class PagedKv {
   /// Binds this view to `pool` (null detaches).  Only allowed while the
   /// view holds no pages.
   void attach(PagePool* pool);
-  bool attached() const noexcept { return pool_ != nullptr; }
   PagePool* pool() const noexcept { return pool_; }
 
   /// Drops every page handle (pool binding is kept).

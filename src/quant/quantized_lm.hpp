@@ -3,7 +3,10 @@
 // Built from a trained (or seeded) lm::TransformerLm: the four big weight
 // matrices per layer and the tied token embedding are re-stored as
 // per-tensor symmetric int8 (or fp16), while biases, layer-norm params,
-// positional embeddings — and crucially every KV row — stay f32.
+// positional embeddings — and crucially every KV row — stay f32.  The
+// class is a weight pack plus a kernel choice: its lm::WeightOps calls
+// plug those into the one layer loop the f32 model also runs
+// (lm/decoder_body.hpp), so both backends execute the same graph.
 // Implements lm::KvBackend, so the serve engine, prefix cache, paged pool
 // and recovery stack run against it unchanged; implements
 // lm::LanguageModel, so lm::generate and the LLAMBO tuners can score
@@ -18,6 +21,7 @@
 // because every kernel here is row-independent, same as the f32 model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -25,6 +29,7 @@
 
 #include "guard/budget.hpp"
 #include "lm/backend.hpp"
+#include "lm/decoder_body.hpp"
 #include "lm/language_model.hpp"
 #include "lm/transformer.hpp"
 #include "quant/arch.hpp"
@@ -36,7 +41,9 @@ enum class WeightFormat { kInt8, kFp16 };
 
 const char* format_name(WeightFormat format);
 
-class QuantizedLm final : public lm::LanguageModel, public lm::KvBackend {
+class QuantizedLm final : public lm::LanguageModel,
+                          public lm::KvBackend,
+                          private lm::WeightOps {
  public:
   /// Quantizes `source`'s weights at the given format, running its kernels
   /// on `arch` (defaults to the CPUID-dispatched best).  `source` is read
@@ -60,8 +67,8 @@ class QuantizedLm final : public lm::LanguageModel, public lm::KvBackend {
   const lm::TransformerConfig& config() const noexcept override {
     return config_;
   }
-  void prefill(lm::KvCache& cache, std::span<const int> tokens,
-               std::span<float> out) override;
+  /// The shared layer loop (lm/decoder_body.hpp) over this model's
+  /// int8/fp16 weight kernels; prefill is KvBackend's default.
   void prefill_from(lm::KvCache& cache, std::span<const int> suffix,
                     std::span<float> out) override;
   void decode_batch(std::span<lm::KvCache* const> caches,
@@ -94,23 +101,24 @@ class QuantizedLm final : public lm::LanguageModel, public lm::KvBackend {
   std::vector<TensorReport> tensor_reports() const;
 
  private:
+  static constexpr std::size_t kProjections = 4;
+  /// One block; the projection arrays are indexed by lm::Proj.
   struct QLayer {
-    lm::Tensor ln1_g, ln1_b, b_qkv, b_o, ln2_g, ln2_b, b_fc1, b_fc2;
-    QTensor w_qkv, w_o, w_fc1, w_fc2;  // int8 format
-    HTensor h_qkv, h_o, h_fc1, h_fc2;  // fp16 format
+    lm::Tensor ln1_g, ln1_b, ln2_g, ln2_b;
+    std::array<QTensor, kProjections> q;  // int8 format
+    std::array<HTensor, kProjections> h;  // fp16 format
+    std::array<lm::Tensor, kProjections> bias;
   };
 
-  /// Projection out = act · W (+bias) through whichever format is active.
-  void project(const lm::Tensor& act, const QTensor& q, const HTensor& h,
-               const lm::Tensor* bias, lm::Tensor& out) const;
+  // ---- lm::WeightOps: the int8/fp16 kernels of the shared body ---------
   /// Token + positional embedding (dequantized token row + f32 pos row).
-  void embed(int id, std::size_t pos, float* row) const;
+  void embed(int id, std::size_t pos, float* row) const override;
+  /// out = act · W + b through whichever format is active.
+  void project(std::size_t layer, lm::Proj proj, const lm::Tensor& act,
+               lm::Tensor& out) const override;
   /// Tied output head over the quantized embedding for `f` ([m, d]).
-  void head(const lm::Tensor& f, lm::Tensor& logits) const;
-  /// Appends `suffix` K/V to `cache` (any base) and writes the logits
-  /// after the last suffix token — shared body of prefill/prefill_from.
-  void extend(lm::KvCache& cache, std::span<const int> suffix,
-              std::span<float> out);
+  void head(const lm::Tensor& f, lm::Tensor& logits) const override;
+  Norm norm(std::size_t layer, bool second) const override;
 
   lm::TransformerConfig config_;
   WeightFormat format_;

@@ -44,22 +44,34 @@ TransformerBatchDecoder::TransformerBatchDecoder(lm::KvBackend& model,
       pool_(pool), surcharges_(slots, 0), pending_prompt_(slots, 0),
       insert_hints_(slots, 0) {
   LMPEEL_CHECK_MSG(slots > 0, "TransformerBatchDecoder needs >= 1 slot");
-  if (pool_ != nullptr) {
-    const lm::TransformerConfig& cfg = model_->config();
-    LMPEEL_CHECK_MSG(
-        pool_->config().n_layer == static_cast<std::size_t>(cfg.n_layer) &&
-            pool_->config().d_model == static_cast<std::size_t>(cfg.d_model),
-        "PagePool shape does not match the model");
-    for (auto& cache : caches_) cache.attach_pool(pool_);
+  const lm::TransformerConfig& cfg = model_->config();
+  if (pool_ == nullptr) {
+    mem::PagePoolConfig config;
+    config.n_layer = static_cast<std::size_t>(cfg.n_layer);
+    config.d_model = static_cast<std::size_t>(cfg.d_model);
+    private_pool_ = std::make_shared<mem::PagePool>(config);
+    pool_ = private_pool_.get();
+  }
+  LMPEEL_CHECK_MSG(
+      pool_->config().n_layer == static_cast<std::size_t>(cfg.n_layer) &&
+          pool_->config().d_model == static_cast<std::size_t>(cfg.d_model),
+      "PagePool shape does not match the model");
+  // Slots co-own a private pool, so prefix-cache nodes sharing its pages
+  // keep it alive even if they outlive the decoder.
+  for (auto& cache : caches_) {
+    if (private_pool_) {
+      cache.attach_pool(private_pool_);
+    } else {
+      cache.attach_pool(pool_);
+    }
   }
 }
 
 void TransformerBatchDecoder::bind_budget(guard::Budget* budget) {
   budget_ = budget;
-  // The pool accounts pages centrally; per-cache accounting is a no-op in
-  // paged mode (KvCache::bytes() is 0) but kept bound for step scratch.
-  if (pool_ != nullptr) pool_->bind_budget(budget);
-  for (auto& cache : caches_) cache.bind_budget(budget);
+  // KV bytes are accounted by the pool, once per in-use page; the decoder
+  // itself charges only step scratch.
+  pool_->bind_budget(budget);
   if (prefix_cache_ != nullptr) prefix_cache_->bind_budget(budget);
 }
 

@@ -4,11 +4,11 @@
 // state (KV caches or raw contexts) and turns a set of (slot, token) pairs
 // into one batched forward.  Two implementations:
 //
-//  * TransformerBatchDecoder — KvCache per slot, prefill on admission, and
-//    TransformerLm::decode_batch for the incremental steps, so weights
-//    stream through the cache once per step for the whole batch.  Large
-//    batches are additionally split across the global thread pool: rows of
-//    a batched step are independent, so the split preserves the
+//  * TransformerBatchDecoder — a paged KvCache per slot, prefill on
+//    admission, and KvBackend::decode_batch for the incremental steps, so
+//    weights stream through the cache once per step for the whole batch.
+//    Large batches are additionally split across the global thread pool:
+//    rows of a batched step are independent, so the split preserves the
 //    bit-for-bit equivalence with sequential next_logits().
 //  * GenericBatchDecoder — works with any LanguageModel by keeping a full
 //    context per slot and looping next_logits (no batching speedup; lets
@@ -130,11 +130,12 @@ class BatchDecoder {
 /// splitting large step batches across the global thread pool.
 class TransformerBatchDecoder final : public BatchDecoder {
  public:
-  /// `pool` (optional) switches every slot's KvCache to paged storage
-  /// backed by that pool (DESIGN.md §14): prefix-cache hits then share
-  /// pages zero-copy and pool exhaustion surfaces as mem::PoolExhausted
-  /// from start/step, which the engine maps to a Shed.  The pool must
-  /// outlive the decoder and any prefix cache sharing it.
+  /// Every slot's KvCache pages out of `pool` (DESIGN.md §14), which must
+  /// outlive the decoder and any prefix cache sharing it; without one the
+  /// decoder owns a private pool of the model's shape (default page size)
+  /// that all its slots share.  Prefix-cache hits on the same pool share
+  /// pages zero-copy, and pool exhaustion surfaces as mem::PoolExhausted
+  /// from start/step, which the engine maps to a Shed.
   TransformerBatchDecoder(lm::KvBackend& model, std::size_t slots,
                           bool parallel = true,
                           mem::PagePool* pool = nullptr);
@@ -170,7 +171,7 @@ class TransformerBatchDecoder final : public BatchDecoder {
 
   std::size_t cost_slack_bytes() const override {
     // Page rounding (≤ 1 page) plus one transient copy-on-write page.
-    return pool_ != nullptr ? 2 * pool_->page_bytes() : 0;
+    return 2 * pool_->page_bytes();
   }
   bool supports_chunked_prefill() const override { return true; }
   void start_chunked(std::size_t slot, std::span<const int> prompt,
@@ -178,8 +179,6 @@ class TransformerBatchDecoder final : public BatchDecoder {
                      std::size_t shared_prefix_tokens = 0) override;
   std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
                             std::span<float> out, bool* done) override;
-
-  mem::PagePool* pool() const noexcept { return pool_; }
 
  private:
   /// Shared admission step of start()/start_chunked(): claims the slot,
@@ -194,7 +193,8 @@ class TransformerBatchDecoder final : public BatchDecoder {
   std::vector<lm::KvCache> caches_;
   std::vector<std::vector<int>> sequences_;  // per slot, for bound checks
   bool parallel_;
-  mem::PagePool* pool_ = nullptr;    // paged KV backing (null = contiguous)
+  std::shared_ptr<mem::PagePool> private_pool_;  // set when built poolless
+  mem::PagePool* pool_ = nullptr;    // every slot's KV pages
   guard::Budget* budget_ = nullptr;  // step-scratch accounting
   cache::PrefixCache* prefix_cache_ = nullptr;
   cache::PrefixCache::Lookup pending_;  ///< prepare_prefix → start handoff

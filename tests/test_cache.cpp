@@ -1,9 +1,9 @@
 // lmpeel::cache — shared-prefix KV cache (DESIGN.md §12).
 //
 // Covers the three layers of the claim "the cache is a pure accelerator":
-//   * lm: copy_prefix forks are budget-correct and prefill_from over a
-//     cached prefix reproduces a full prefill bit for bit (EXPECT_EQ on
-//     floats, not near);
+//   * lm: copy_prefix forks share pages (a shared page is charged once)
+//     and prefill_from over a cached prefix reproduces a full prefill bit
+//     for bit (EXPECT_EQ on floats, not near);
 //   * cache: radix insert / longest-prefix lookup / edge splitting, LRU
 //     eviction under a byte budget with pinned nodes spared, and
 //     guard::Budget integration (accounted never exceeds the limit);
@@ -18,6 +18,7 @@
 
 #include "guard/budget.hpp"
 #include "lm/transformer.hpp"
+#include "mem/page_pool.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/decoder.hpp"
@@ -48,36 +49,52 @@ std::uint64_t counter_value(const char* name) {
 
 // ---- KvCache fork / move semantics ---------------------------------------
 
+mem::PagePoolConfig pool_config(const lm::TransformerConfig& cfg,
+                                std::size_t page_tokens) {
+  mem::PagePoolConfig config;
+  config.page_tokens = page_tokens;
+  config.n_layer = static_cast<std::size_t>(cfg.n_layer);
+  config.d_model = static_cast<std::size_t>(cfg.d_model);
+  return config;
+}
+
 TEST(KvCacheCopyPrefix, ForksAndAccountsAgainstBudget) {
   lm::TransformerLm model(tiny_config(), /*seed=*/1);
   guard::Budget budget;  // unlimited, meters only
+  mem::PagePool pool(pool_config(model.config(), /*page_tokens=*/4));
+  pool.bind_budget(&budget);
+  const std::size_t page = pool.page_bytes();
   lm::TransformerLm::KvCache a;
-  a.bind_budget(&budget);
+  a.attach_pool(&pool);
   const std::vector<int> prompt{3, 1, 4, 1, 5, 9};
   std::vector<float> logits(static_cast<std::size_t>(model.vocab_size()));
   model.prefill(a, prompt, logits);
-  const std::size_t a_bytes = a.bytes();
-  EXPECT_EQ(a_bytes, prompt.size() * bpt(model.config()));
-  EXPECT_EQ(budget.accounted(), a_bytes);
+  // Page-granular: 6 tokens occupy two 4-token pages.
+  EXPECT_EQ(a.pages_held(), 2u);
+  EXPECT_EQ(budget.accounted(), 2 * page);
 
+  // A fork shares the pages covering its prefix; a shared page is charged
+  // once, so the fork costs nothing until it appends.
   lm::TransformerLm::KvCache b;
-  b.bind_budget(&budget);
-  b.copy_prefix(a, 3);
+  EXPECT_TRUE(b.copy_prefix(a, 3));
   EXPECT_EQ(b.length(), 3u);
-  EXPECT_EQ(b.bytes(), 3 * bpt(model.config()));
-  EXPECT_EQ(budget.accounted(), a_bytes + b.bytes());
+  EXPECT_EQ(b.pool(), &pool);  // an unbound cache adopts the source's pool
+  EXPECT_EQ(b.pages_held(), 1u);
+  EXPECT_EQ(budget.accounted(), 2 * page);
 
-  // Length-0 fork: a valid empty cache, all bytes released.
-  b.copy_prefix(a, 0);
+  // Length-0 fork: a valid empty cache holding no pages.
+  EXPECT_TRUE(b.copy_prefix(a, 0));
   EXPECT_EQ(b.length(), 0u);
-  EXPECT_EQ(b.bytes(), 0u);
-  EXPECT_EQ(budget.accounted(), a_bytes);
+  EXPECT_EQ(b.pages_held(), 0u);
+  EXPECT_EQ(budget.accounted(), 2 * page);
 
   // Full-length fork is a clone: decoding one token from each produces
-  // identical logits, and the source is untouched.
+  // identical logits, and the source is untouched.  The first append into
+  // the shared boundary page copies it — one more page charged.
   b.copy_prefix(a, a.length());
   EXPECT_EQ(b.length(), a.length());
   EXPECT_EQ(a.length(), prompt.size());
+  EXPECT_EQ(budget.accounted(), 2 * page);
   lm::Tensor step_a(1, static_cast<std::size_t>(model.vocab_size()));
   lm::Tensor step_b(1, static_cast<std::size_t>(model.vocab_size()));
   lm::TransformerLm::KvCache* ca[] = {&a};
@@ -85,44 +102,73 @@ TEST(KvCacheCopyPrefix, ForksAndAccountsAgainstBudget) {
   const int next[] = {7};
   model.decode_batch(ca, next, step_a);
   model.decode_batch(cb, next, step_b);
+  EXPECT_EQ(budget.accounted(), 3 * page);
   for (int v = 0; v < model.vocab_size(); ++v) {
     EXPECT_EQ(step_a.row(0)[static_cast<std::size_t>(v)],
               step_b.row(0)[static_cast<std::size_t>(v)]);
   }
 }
 
-TEST(KvCacheMove, DetachesFromBudgetExactlyOnce) {
+TEST(KvCacheMove, HandsItsPagesOverExactlyOnce) {
   lm::TransformerLm model(tiny_config(), /*seed=*/1);
   guard::Budget budget;
+  mem::PagePool pool(pool_config(model.config(), /*page_tokens=*/4));
+  pool.bind_budget(&budget);
   const std::vector<int> prompt{2, 7, 1, 8};
   std::vector<float> logits(static_cast<std::size_t>(model.vocab_size()));
   {
     lm::TransformerLm::KvCache a;
-    a.bind_budget(&budget);
+    a.attach_pool(&pool);
     model.prefill(a, prompt, logits);
     const std::size_t charged = budget.accounted();
-    ASSERT_GT(charged, 0u);
+    ASSERT_EQ(charged, pool.page_bytes());
 
-    // Move construction: accounting travels with the buffers; the
-    // moved-from cache is empty, detached, and safe to destroy or reuse.
+    // Move construction: the pages travel with the cache; the moved-from
+    // cache is empty, unbound, and safe to destroy or reuse.
     lm::TransformerLm::KvCache b(std::move(a));
     EXPECT_EQ(budget.accounted(), charged);
     EXPECT_EQ(a.length(), 0u);  // NOLINT(bugprone-use-after-move)
-    a.clear();                  // must not uncharge anything
+    EXPECT_EQ(a.pages_held(), 0u);
+    a.clear();  // must not release anything
     EXPECT_EQ(budget.accounted(), charged);
 
-    // Move assignment over a charged target: the target's old bytes are
-    // released once, the source's bytes keep their single charge.
+    // Move assignment over a charged target: the target's old page is
+    // released once, the source's page keeps its single charge.
     lm::TransformerLm::KvCache c;
-    c.bind_budget(&budget);
+    c.attach_pool(&pool);
     model.prefill(c, prompt, logits);
     EXPECT_EQ(budget.accounted(), 2 * charged);
     c = std::move(b);
     EXPECT_EQ(budget.accounted(), charged);
   }
-  // Every cache is gone: a double-detach anywhere above would have pushed
-  // this negative (and tripped ASan on the underlying bookkeeping).
+  // Every cache is gone: a double release anywhere above would have
+  // tripped the pool's refcount checks.
   EXPECT_EQ(budget.accounted(), 0u);
+  EXPECT_EQ(pool.pages_in_use(), 0u);
+}
+
+TEST(KvCachePrivatePool, ForkKeepsTheSourcesPrivatePoolAlive) {
+  lm::TransformerLm model(tiny_config(), /*seed=*/2);
+  const std::vector<int> prompt{4, 2, 9, 9, 1};
+  const auto vocab = static_cast<std::size_t>(model.vocab_size());
+  std::vector<float> want(vocab), got(vocab);
+  lm::TransformerLm::KvCache fork;
+  {
+    // First grown without a pool: a private one of the model's shape.
+    lm::TransformerLm::KvCache source;
+    model.prefill(source,
+                  std::span<const int>(prompt).first(prompt.size() - 1),
+                  want);
+    ASSERT_NE(source.pool(), nullptr);
+    EXPECT_EQ(source.pool()->page_tokens(), mem::PagePoolConfig{}.page_tokens);
+    fork.copy_prefix(source, source.length());
+    EXPECT_EQ(fork.pool(), source.pool());
+  }
+  // The source (the pool's first owner) is gone; the fork's shared pages
+  // and pool must still be valid.
+  model.prefill_from(fork, std::span<const int>(prompt).last(1), got);
+  model.next_logits(prompt, want);
+  EXPECT_EQ(want, got);
 }
 
 // ---- prefill_from bit-identicality ---------------------------------------
@@ -181,7 +227,10 @@ TEST(PrefixCacheRadix, InsertLookupAndEdgeSplit) {
   model.prefill(kv_a, a, scratch);
   cache.insert(a, kv_a);
   EXPECT_EQ(cache.node_count(), 1u);
-  EXPECT_EQ(cache.bytes(), a.size() * bpt(model.config()));
+  // Reservations are page-granular: the default page size, which is what
+  // kv_a's private pool pages with.
+  EXPECT_EQ(cache.bytes(),
+            mem::PagePoolConfig{}.page_tokens * bpt(model.config()));
 
   // Longest-prefix match, including the max_tokens cap landing mid-edge.
   const std::vector<int> probe{1, 2, 3, 4, 5, 6, 9};
@@ -227,7 +276,9 @@ TEST(PrefixCacheRadix, InsertLookupAndEdgeSplit) {
 
 TEST(PrefixCacheLru, EvictsOldestLeafAndSparesPinned) {
   lm::TransformerLm model(tiny_config(), /*seed=*/7);
+  mem::PagePool pool(pool_config(model.config(), /*page_tokens=*/4));
   PrefixCacheConfig config;
+  config.page_tokens = pool.page_tokens();
   config.byte_budget = 8 * bpt(model.config());  // room for two 4-token nodes
   PrefixCache cache(model, config);
   const auto vocab = static_cast<std::size_t>(model.vocab_size());
@@ -235,6 +286,7 @@ TEST(PrefixCacheLru, EvictsOldestLeafAndSparesPinned) {
 
   const auto insert = [&](std::vector<int> tokens) {
     lm::TransformerLm::KvCache kv;
+    kv.attach_pool(&pool);
     model.prefill(kv, tokens, scratch);
     cache.insert(tokens, kv);
   };
@@ -272,27 +324,37 @@ TEST(PrefixCacheLru, EvictsOldestLeafAndSparesPinned) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(PrefixCacheBudget, AccountedNeverExceedsLimitAndDrainsOnDestruction) {
+TEST(PrefixCacheBudget, NodePagesStayReservedAndDrainOnDestruction) {
   lm::TransformerLm model(tiny_config(), /*seed=*/9);
   guard::Budget budget(6 * bpt(model.config()));
   const auto vocab = static_cast<std::size_t>(model.vocab_size());
   std::vector<float> scratch(vocab);
+  mem::PagePool pool(pool_config(model.config(), /*page_tokens=*/4));
+  pool.bind_budget(&budget);
   {
-    PrefixCache cache(model, {});
+    PrefixCacheConfig config;
+    config.page_tokens = pool.page_tokens();
+    PrefixCache cache(model, config);
     cache.bind_budget(&budget);
     const auto insert = [&](std::vector<int> tokens) {
       lm::TransformerLm::KvCache kv;
+      kv.attach_pool(&pool);
       model.prefill(kv, tokens, scratch);
       cache.insert(tokens, kv);
     };
+    // The node shares the prefill's page; once the prefill cache is gone
+    // the node owns it, charged once and covered by its reservation.
     insert({1, 2, 3, 4});
     EXPECT_EQ(budget.accounted(), 4 * bpt(model.config()));
     EXPECT_EQ(budget.reserved(), 4 * bpt(model.config()));
     // A second node would breach the limit, so the first is evicted to
-    // make room — the budget never sees more than it allows.
+    // make room — the reservations never exceed what the budget allows,
+    // and they keep covering every page the cache holds.
     insert({5, 6, 7, 8});
     EXPECT_EQ(cache.node_count(), 1u);
-    EXPECT_LE(budget.accounted_peak(), budget.limit());
+    EXPECT_LE(budget.reserved(), budget.limit());
+    EXPECT_EQ(budget.accounted(), 4 * bpt(model.config()));
+    EXPECT_LE(budget.accounted(), budget.reserved());
     // Surcharge reservations cover the caller's copy of matched rows.
     auto hit = cache.acquire(std::vector<int>{5, 6, 7, 8, 1}, 4, 8);
     ASSERT_EQ(hit.tokens, 4u);
@@ -304,6 +366,7 @@ TEST(PrefixCacheBudget, AccountedNeverExceedsLimitAndDrainsOnDestruction) {
   }
   EXPECT_EQ(budget.reserved(), 0u);
   EXPECT_EQ(budget.accounted(), 0u);
+  EXPECT_EQ(pool.pages_in_use(), 0u);
 }
 
 // ---- serve integration ---------------------------------------------------
@@ -367,7 +430,9 @@ TEST(ServePrefixCache, ShedCacheReportsFreedBytes) {
       }());
   ASSERT_EQ(result.status, serve::RequestStatus::Ok);
   EXPECT_GT(prefix_cache.bytes(), 0u);  // auto-inserted prompt
-  EXPECT_EQ(decoder.shed_cache(prefix_cache.bytes()), 6 * bpt(model.config()));
+  // One node, one default-size page reserved (the decoder's private pool).
+  EXPECT_EQ(decoder.shed_cache(prefix_cache.bytes()),
+            mem::PagePoolConfig{}.page_tokens * bpt(model.config()));
   EXPECT_EQ(prefix_cache.bytes(), 0u);
 }
 

@@ -7,8 +7,8 @@
 //     shared boundary page, and refcount traffic from concurrent threads
 //     draining to zero (the TSan target);
 //   * lm: paged prefill / prefill_from / decode_batch reproduce the
-//     contiguous path bit for bit (EXPECT_EQ on floats, not near) across
-//     batch sizes and prefix-hit suffixes;
+//     serial next_logits reference bit for bit (EXPECT_EQ on floats, not
+//     near) across batch sizes and prefix-hit suffixes;
 //   * cache/serve: prefix hits on paged nodes share pages zero-copy
 //     (0 KV bytes copied), pinned runs refuse eviction, and pool
 //     exhaustion surfaces as Shed — never EngineError — at both the
@@ -212,7 +212,7 @@ TEST(PagedKv, ShareFromIsZeroCopyAndCowIsolatesTheBoundaryPage) {
   }
 }
 
-// ---- lm: paged attention is bit-identical to contiguous ------------------
+// ---- lm: paged attention is bit-identical to the serial reference -------
 
 std::vector<int> test_prompt(std::size_t length, std::size_t salt,
                              int vocab) {
@@ -224,47 +224,47 @@ std::vector<int> test_prompt(std::size_t length, std::size_t salt,
   return prompt;
 }
 
-TEST(PagedTransformer, PrefillAndDecodeBatchMatchContiguousBitForBit) {
+TEST(PagedTransformer, PrefillAndDecodeBatchMatchNextLogitsBitForBit) {
   const lm::TransformerConfig cfg = tiny_config();
   lm::TransformerLm model(cfg, /*seed=*/3);
   PagePool pool(pool_config_for(cfg, /*page_tokens=*/4));
   const auto vocab = static_cast<std::size_t>(cfg.vocab);
 
   for (const std::size_t batch : {1u, 2u, 7u, 9u}) {
-    std::vector<lm::TransformerLm::KvCache> flat(batch), paged(batch);
-    std::vector<float> flat_logits(vocab), paged_logits(vocab);
+    std::vector<lm::TransformerLm::KvCache> paged(batch);
+    std::vector<std::vector<int>> contexts(batch);
+    std::vector<float> want(vocab), got(vocab);
     for (std::size_t b = 0; b < batch; ++b) {
       paged[b].attach_pool(&pool);
       // Ragged lengths straddling page boundaries (3..3+batch tokens).
-      const auto prompt = test_prompt(3 + b, /*salt=*/b, cfg.vocab);
-      model.prefill(flat[b], prompt, flat_logits);
-      model.prefill(paged[b], prompt, paged_logits);
+      contexts[b] = test_prompt(3 + b, /*salt=*/b, cfg.vocab);
+      model.next_logits(contexts[b], want);
+      model.prefill(paged[b], contexts[b], got);
       for (std::size_t i = 0; i < vocab; ++i) {
-        ASSERT_EQ(flat_logits[i], paged_logits[i])
+        ASSERT_EQ(want[i], got[i])
             << "prefill logit " << i << " diverged at batch " << batch;
       }
     }
 
-    // A few batched decode steps with ragged cache lengths: the paged
-    // gather must follow the exact same float path as the contiguous one.
-    std::vector<lm::TransformerLm::KvCache*> flat_ptrs, paged_ptrs;
-    for (std::size_t b = 0; b < batch; ++b) {
-      flat_ptrs.push_back(&flat[b]);
-      paged_ptrs.push_back(&paged[b]);
-    }
-    lm::Tensor flat_out(batch, vocab), paged_out(batch, vocab);
+    // A few batched decode steps with ragged cache lengths: the page-run
+    // gather must follow the exact float path of the serial reference.
+    std::vector<lm::TransformerLm::KvCache*> paged_ptrs;
+    for (std::size_t b = 0; b < batch; ++b) paged_ptrs.push_back(&paged[b]);
+    lm::Tensor paged_out(batch, vocab);
     std::vector<int> tokens(batch);
     for (int step = 0; step < 6; ++step) {
       for (std::size_t b = 0; b < batch; ++b) {
         tokens[b] = static_cast<int>((step * 5 + b * 11 + 2) % vocab);
+        contexts[b].push_back(tokens[b]);
       }
-      model.decode_batch(flat_ptrs, tokens, flat_out);
       model.decode_batch(paged_ptrs, tokens, paged_out);
-      ASSERT_EQ(flat_out.size(), paged_out.size());
-      for (std::size_t i = 0; i < flat_out.size(); ++i) {
-        ASSERT_EQ(flat_out.data()[i], paged_out.data()[i])
-            << "decode logit " << i << " diverged at batch " << batch
-            << " step " << step;
+      for (std::size_t b = 0; b < batch; ++b) {
+        model.next_logits(contexts[b], want);
+        for (std::size_t i = 0; i < vocab; ++i) {
+          ASSERT_EQ(want[i], paged_out.at(b, i))
+              << "decode logit " << i << " diverged at batch " << batch
+              << " step " << step << " row " << b;
+        }
       }
     }
   }
@@ -430,7 +430,7 @@ TEST(PagedServe, TwoStageSchedulerGeneratesIdenticalTokens) {
   const lm::TransformerConfig cfg = tiny_config();
   lm::TransformerLm model(cfg, /*seed=*/17);
 
-  // Baseline: contiguous KV, legacy single-stage scheduling.
+  // Baseline: the decoder's private pool, single-stage scheduling.
   std::vector<std::vector<int>> baseline;
   {
     serve::TransformerBatchDecoder decoder(model, /*slots=*/4);
@@ -450,7 +450,7 @@ TEST(PagedServe, TwoStageSchedulerGeneratesIdenticalTokens) {
     engine.shutdown();
   }
 
-  // Paged pool + chunked prefill small enough to split every prompt.
+  // Shared pool + chunked prefill small enough to split every prompt.
   PagePool pool(pool_config_for(cfg, /*page_tokens=*/4));
   serve::TransformerBatchDecoder decoder(model, /*slots=*/4,
                                          /*parallel=*/true, &pool);

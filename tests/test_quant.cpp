@@ -233,35 +233,38 @@ TEST(QuantizedLm, LogitsTrackF32WithinQuantizationError) {
 
 TEST(QuantizedLm, PrefillFromAfterCopyPrefixMatchesFullPrefill) {
   lm::TransformerLm source(tiny_config(), 29);
-  QuantizedLm q(source, WeightFormat::kInt8);
-  const std::vector<int> full{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
-  const std::size_t split = 6;
+  for (const WeightFormat format : {WeightFormat::kInt8, WeightFormat::kFp16}) {
+    SCOPED_TRACE(format_name(format));
+    QuantizedLm q(source, format);
+    const std::vector<int> full{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
+    const std::size_t split = 6;
 
-  lm::KvCache whole;
-  std::vector<float> want(q.vocab_size());
-  q.prefill(whole, full, want);
+    lm::KvCache whole;
+    std::vector<float> want(q.vocab_size());
+    q.prefill(whole, full, want);
 
-  lm::KvCache prefix;
-  std::vector<float> scratch(q.vocab_size());
-  q.prefill(prefix, std::span<const int>(full).first(split), scratch);
-  lm::KvCache forked;
-  forked.copy_prefix(prefix, split);
-  std::vector<float> got(q.vocab_size());
-  q.prefill_from(forked, std::span<const int>(full).subspan(split), got);
+    lm::KvCache prefix;
+    std::vector<float> scratch(q.vocab_size());
+    q.prefill(prefix, std::span<const int>(full).first(split), scratch);
+    lm::KvCache forked;
+    forked.copy_prefix(prefix, split);
+    std::vector<float> got(q.vocab_size());
+    q.prefill_from(forked, std::span<const int>(full).subspan(split), got);
 
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(forked.length(), full.size());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(forked.length(), full.size());
 
-  // And decode continues identically from either cache.
-  lm::Tensor logits_a(1, static_cast<std::size_t>(q.vocab_size()));
-  lm::Tensor logits_b(1, static_cast<std::size_t>(q.vocab_size()));
-  lm::KvCache* wa[] = {&whole};
-  lm::KvCache* wb[] = {&forked};
-  const int tok[] = {7};
-  q.decode_batch(wa, tok, logits_a);
-  q.decode_batch(wb, tok, logits_b);
-  for (std::size_t v = 0; v < logits_a.cols(); ++v) {
-    EXPECT_EQ(logits_a.at(0, v), logits_b.at(0, v));
+    // And decode continues identically from either cache.
+    lm::Tensor logits_a(1, static_cast<std::size_t>(q.vocab_size()));
+    lm::Tensor logits_b(1, static_cast<std::size_t>(q.vocab_size()));
+    lm::KvCache* wa[] = {&whole};
+    lm::KvCache* wb[] = {&forked};
+    const int tok[] = {7};
+    q.decode_batch(wa, tok, logits_a);
+    q.decode_batch(wb, tok, logits_b);
+    for (std::size_t v = 0; v < logits_a.cols(); ++v) {
+      EXPECT_EQ(logits_a.at(0, v), logits_b.at(0, v));
+    }
   }
 }
 
@@ -304,39 +307,47 @@ TEST(QuantizedLm, ReportsPerTensorScalesAndErrors) {
 
 // End-to-end: the serve engine batching over the quantized backend emits
 // exactly what serial lm::generate over the same QuantizedLm emits — the
-// engine's equivalence guarantee is backend-independent.
+// engine's equivalence guarantee is backend-independent.  Prefill chunks
+// shorter than every prompt put the shared body's multi-chunk
+// prefill_from path under the quantized weights too.
 TEST(QuantizedLm, ServeEngineGreedyMatchesSerialGenerate) {
   lm::TransformerLm source(tiny_config(), 41);
-  QuantizedLm q(source, WeightFormat::kInt8);
+  for (const WeightFormat format : {WeightFormat::kInt8, WeightFormat::kFp16}) {
+    SCOPED_TRACE(format_name(format));
+    QuantizedLm q(source, format);
 
-  std::vector<std::vector<int>> prompts;
-  for (int r = 0; r < 5; ++r) {
-    std::vector<int> p;
-    for (int t = 0; t < 3 + r; ++t) p.push_back((r * 7 + t * 3) % 48);
-    prompts.push_back(std::move(p));
-  }
-  lm::GenerateOptions options;
-  options.sampler.temperature = 0.0;
-  options.max_tokens = 8;
-  std::vector<lm::Generation> expected;
-  for (const auto& p : prompts) expected.push_back(lm::generate(q, p, options));
+    std::vector<std::vector<int>> prompts;
+    for (int r = 0; r < 5; ++r) {
+      std::vector<int> p;
+      for (int t = 0; t < 3 + r; ++t) p.push_back((r * 7 + t * 3) % 48);
+      prompts.push_back(std::move(p));
+    }
+    lm::GenerateOptions options;
+    options.sampler.temperature = 0.0;
+    options.max_tokens = 8;
+    std::vector<lm::Generation> expected;
+    for (const auto& p : prompts) {
+      expected.push_back(lm::generate(q, p, options));
+    }
 
-  serve::TransformerBatchDecoder decoder(q, 4);
-  serve::EngineConfig config;
-  config.max_batch = 4;
-  serve::Engine engine(decoder, config);
-  std::vector<serve::Request> requests;
-  for (const auto& p : prompts) {
-    serve::Request request;
-    request.prompt = p;
-    request.options = options;
-    requests.push_back(std::move(request));
-  }
-  const auto results = serve::generate_all(engine, std::move(requests));
-  ASSERT_EQ(results.size(), prompts.size());
-  for (std::size_t r = 0; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].status, serve::RequestStatus::Ok) << r;
-    EXPECT_EQ(results[r].generation.tokens, expected[r].tokens) << r;
+    serve::TransformerBatchDecoder decoder(q, 4);
+    serve::EngineConfig config;
+    config.max_batch = 4;
+    config.prefill_chunk_tokens = 2;
+    serve::Engine engine(decoder, config);
+    std::vector<serve::Request> requests;
+    for (const auto& p : prompts) {
+      serve::Request request;
+      request.prompt = p;
+      request.options = options;
+      requests.push_back(std::move(request));
+    }
+    const auto results = serve::generate_all(engine, std::move(requests));
+    ASSERT_EQ(results.size(), prompts.size());
+    for (std::size_t r = 0; r < results.size(); ++r) {
+      ASSERT_EQ(results[r].status, serve::RequestStatus::Ok) << r;
+      EXPECT_EQ(results[r].generation.tokens, expected[r].tokens) << r;
+    }
   }
 }
 

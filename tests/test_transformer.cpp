@@ -109,21 +109,29 @@ TEST(Transformer, ContextWindowCropsOldTokens) {
 }
 
 TEST(Transformer, KvCacheMatchesFullForward) {
+  // The KV-cached inference paths against the serial reference: a prefix
+  // fed in prefill_from chunks, then one decode_batch step per token, must
+  // reproduce next_logits over the growing context bit for bit.
   TransformerLm model(tiny_config(60), 11);
   const std::vector<int> seq{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
   std::vector<float> full(60), cached(60);
 
   TransformerLm::KvCache cache;
-  // Feed the prefix in two chunks, then one token at a time.
-  model.decode(cache, std::span<const int>(seq).subspan(0, 4), cached);
+  model.prefill_from(cache, std::span<const int>(seq).subspan(0, 3), cached);
+  model.next_logits(std::span<const int>(seq).subspan(0, 3), full);
+  EXPECT_EQ(full, cached);
+  model.prefill_from(cache, std::span<const int>(seq).subspan(3, 1), cached);
   model.next_logits(std::span<const int>(seq).subspan(0, 4), full);
-  for (int v = 0; v < 60; ++v) EXPECT_NEAR(full[v], cached[v], 2e-3f);
+  EXPECT_EQ(full, cached);
 
+  TransformerLm::KvCache* ptr = &cache;
+  Tensor step(1, 60);
   for (std::size_t t = 4; t < seq.size(); ++t) {
-    model.decode(cache, std::span<const int>(&seq[t], 1), cached);
+    model.decode_batch(std::span<TransformerLm::KvCache* const>(&ptr, 1),
+                       std::span<const int>(&seq[t], 1), step);
     model.next_logits(std::span<const int>(seq).subspan(0, t + 1), full);
-    for (int v = 0; v < 60; ++v) {
-      ASSERT_NEAR(full[v], cached[v], 2e-3f) << "position " << t;
+    for (std::size_t v = 0; v < 60; ++v) {
+      ASSERT_EQ(full[v], step.at(0, v)) << "position " << t;
     }
   }
   EXPECT_EQ(cache.length(), seq.size());
@@ -225,10 +233,12 @@ TEST(Transformer, KvCacheRespectsMaxSeq) {
   TransformerLm model(cfg, 12);
   TransformerLm::KvCache cache;
   std::vector<float> out(20);
-  const std::vector<int> four{1, 2, 3, 4};
-  EXPECT_NO_THROW(model.decode(cache, four, out));
+  const std::vector<int> two{1, 2};
+  EXPECT_NO_THROW(model.prefill_from(cache, two, out));
+  EXPECT_NO_THROW(model.prefill_from(cache, two, out));
   const std::vector<int> one{5};
-  EXPECT_THROW(model.decode(cache, one, out), std::runtime_error);
+  EXPECT_THROW(model.prefill_from(cache, one, out), std::runtime_error);
+  EXPECT_EQ(cache.length(), 4u);
 }
 
 TEST(Transformer, TrainingReducesLossOnRepetitiveData) {

@@ -14,17 +14,17 @@
 //                                                `prefix` measures shared-prefix
 //                                                KV reuse cache-on vs cache-off,
 //                                                `mixed` long+short traffic on
-//                                                the paged two-stage scheduler
-//                                                vs the contiguous baseline,
+//                                                the two-stage scheduler vs
+//                                                the single-stage baseline,
 //                                                `recover` kills and revives a
 //                                                replica and gates post-revive
 //                                                decode throughput
 //   lmpeel chaos [seed] [requests]               fault-injection survival run
 //   lmpeel soak [--seconds N] [--seed N] [--budget BYTES] [--no-sick-window]
-//               [--no-prefix-cache] [--contiguous-kv]
+//               [--no-prefix-cache]
 //               [--replicas N] [--kill-rate R] [--restart-rate R]
 //                                                mixed-priority overload soak
-//                                                (paged KV pool by default);
+//                                                (on a paged KV pool);
 //                                                --replicas > 1 runs the fleet
 //                                                soak behind shard::Router with
 //                                                seeded replica kills/stalls;
@@ -112,7 +112,7 @@ int usage() {
          "[--prefix on|off]\n"
          "  lmpeel chaos [seed] [requests]\n"
          "  lmpeel soak [--seconds N] [--seed N] [--budget BYTES] "
-         "[--no-sick-window] [--no-prefix-cache] [--contiguous-kv] "
+         "[--no-sick-window] [--no-prefix-cache] "
          "[--replicas N] [--kill-rate R] [--restart-rate R]\n"
          "  lmpeel top [path] [--interval-ms N] [--once]\n"
          "  lmpeel quant-check [int8|fp16] [seed]\n";
@@ -548,8 +548,6 @@ int cmd_soak(int argc, char** argv) {
       options.sick_window = false;
     } else if (arg == "--no-prefix-cache") {
       options.prefix_cache = false;
-    } else if (arg == "--contiguous-kv") {
-      options.paged_kv = false;
     } else if (arg == "--replicas" && i + 1 < argc) {
       options.replicas = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--kill-rate" && i + 1 < argc) {
@@ -572,8 +570,7 @@ int cmd_soak(int argc, char** argv) {
   std::cout << "soak: " << options.seconds << " s, seed " << options.seed
             << (sick ? ", sick window on" : ", sick window off")
             << (options.prefix_cache ? ", prefix cache on"
-                                     : ", prefix cache off")
-            << (options.paged_kv ? ", paged kv" : ", contiguous kv");
+                                     : ", prefix cache off");
   if (options.replicas > 1) {
     std::cout << ", " << options.replicas << " replicas, kill rate "
               << options.kill_rate << ", restart rate "

@@ -22,14 +22,14 @@
 // so cache-on hits are zero-copy page shares — the run asserts that pure
 // hits copied zero KV bytes.
 //
-// The `mixed` workload contrasts the paged two-stage scheduler against the
-// contiguous single-stage baseline (DESIGN.md §14) under antagonistic
-// traffic: a few clients stream long-prompt requests while many stream
-// short ones.  Single-stage admission prefills a long prompt in one gulp,
-// stalling every short request behind it; chunked prefill bounds that
-// stall.  Rows merge as serve_bench/mixed_{paged,contiguous} with short-
-// request TTFT percentiles and decode tokens/sec; generated tokens are
-// checked bit-identical between the two schedulers.
+// The `mixed` workload contrasts the two-stage scheduler against the
+// single-stage baseline (DESIGN.md §14), both on a paged pool, under
+// antagonistic traffic: a few clients stream long-prompt requests while
+// many stream short ones.  Single-stage admission prefills a long prompt
+// in one gulp, stalling every short request behind it; chunked prefill
+// bounds that stall.  Rows merge as serve_bench/mixed_{paged,single_stage}
+// with short-request TTFT percentiles and decode tokens/sec; generated
+// tokens are checked bit-identical between the two schedulers.
 //
 // The `shard` workload scales out (DESIGN.md §15): campaign-style traffic
 // (a handful of shared ICL prefixes, short unique tails) through a
@@ -57,7 +57,6 @@
 #include <future>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -410,34 +409,30 @@ struct MixedResult {
   double long_ttft_p50_ms = 0.0;
   std::uint64_t prefill_chunks = 0;  ///< serve.prefill_stage.chunks
   /// Per-request token ids, shorts then longs — must be bit-identical
-  /// between the paged/chunked and contiguous/single-stage variants.
+  /// between the chunked and single-stage variants.
   std::vector<std::vector<int>> generated;
 };
 
-MixedResult run_mixed_cell(lm::TransformerLm& model, bool paged,
+MixedResult run_mixed_cell(lm::TransformerLm& model, bool chunked,
                            std::size_t shorts, std::size_t longs,
                            std::size_t short_prompt, std::size_t long_prompt,
                            std::size_t short_gen, std::size_t long_gen) {
   obs::Registry::global().reset();
   constexpr std::size_t kBatch = 8;
-  std::optional<mem::PagePool> pool;
-  if (paged) {
-    mem::PagePoolConfig pool_config;
-    pool_config.page_tokens = 16;
-    pool_config.n_layer = static_cast<std::size_t>(model.config().n_layer);
-    pool_config.d_model = static_cast<std::size_t>(model.config().d_model);
-    pool.emplace(pool_config);
-  }
+  mem::PagePoolConfig pool_config;
+  pool_config.page_tokens = 16;
+  pool_config.n_layer = static_cast<std::size_t>(model.config().n_layer);
+  pool_config.d_model = static_cast<std::size_t>(model.config().d_model);
+  mem::PagePool pool(pool_config);
   serve::TransformerBatchDecoder decoder(model, /*slots=*/kBatch,
-                                         /*parallel=*/true,
-                                         pool ? &*pool : nullptr);
+                                         /*parallel=*/true, &pool);
   serve::EngineConfig config;
   config.max_batch = kBatch;
   config.queue_capacity = std::max<std::size_t>(64, shorts + longs);
   // The contrast under test: chunked two-stage scheduling vs legacy
   // prefill-at-admission.  32-token slices keep each tick's prefill work
   // an order of magnitude below a whole long prompt.
-  config.prefill_chunk_tokens = paged ? 32 : 0;
+  config.prefill_chunk_tokens = chunked ? 32 : 0;
   serve::Engine engine(decoder, config);
 
   MixedResult result;
@@ -519,12 +514,12 @@ int run_mixed_bench(bool quick) {
 
   util::Table table({"scheduler", "chunks", "short_p50_ms", "short_p99_ms",
                      "long_p50_ms", "dec_tok_s", "wall_s"});
-  MixedResult paged, contiguous;
-  for (const bool use_paged : {false, true}) {
-    auto result = run_mixed_cell(model, use_paged, shorts, longs,
+  MixedResult chunked, single_stage;
+  for (const bool use_chunks : {false, true}) {
+    auto result = run_mixed_cell(model, use_chunks, shorts, longs,
                                  short_prompt, long_prompt, short_gen,
                                  long_gen);
-    table.add_row({use_paged ? "paged+chunked" : "contiguous",
+    table.add_row({use_chunks ? "two-stage" : "single-stage",
                    std::to_string(result.prefill_chunks),
                    util::Table::num(result.short_ttft_p50_ms),
                    util::Table::num(result.short_ttft_p99_ms),
@@ -532,8 +527,8 @@ int run_mixed_bench(bool quick) {
                    util::Table::num(result.decode_tokens_per_sec),
                    util::Table::num(result.wall_s)});
     bench::BenchRecord record;
-    record.name = use_paged ? "serve_bench/mixed_paged"
-                            : "serve_bench/mixed_contiguous";
+    record.name = use_chunks ? "serve_bench/mixed_paged"
+                             : "serve_bench/mixed_single_stage";
     record.wall_s = result.wall_s;
     record.counters = bench::counter_snapshot();
     record.values = {
@@ -542,24 +537,24 @@ int run_mixed_bench(bool quick) {
         {"long_ttft_p50_ms", result.long_ttft_p50_ms},
         {"decode_tokens_per_sec", result.decode_tokens_per_sec}};
     bench::write_bench_record(record);
-    (use_paged ? paged : contiguous) = std::move(result);
+    (use_chunks ? chunked : single_stage) = std::move(result);
   }
   record_slo("serve_bench/mixed_slo");
   bench::emit("serve-bench: mixed long/short traffic", table);
-  LMPEEL_CHECK_MSG(paged.generated == contiguous.generated,
-                   "paged two-stage scheduling changed generated tokens");
+  LMPEEL_CHECK_MSG(chunked.generated == single_stage.generated,
+                   "two-stage scheduling changed generated tokens");
   std::cout << "generated tokens bit-identical across schedulers\n";
   const bool ttft_better =
-      paged.short_ttft_p99_ms < contiguous.short_ttft_p99_ms;
-  const bool decode_held =
-      paged.decode_tokens_per_sec >= 0.95 * contiguous.decode_tokens_per_sec;
+      chunked.short_ttft_p99_ms < single_stage.short_ttft_p99_ms;
+  const bool decode_held = chunked.decode_tokens_per_sec >=
+                           0.95 * single_stage.decode_tokens_per_sec;
   std::cout << "short-request p99 TTFT: "
-            << util::Table::num(contiguous.short_ttft_p99_ms) << " -> "
-            << util::Table::num(paged.short_ttft_p99_ms) << " ms ("
+            << util::Table::num(single_stage.short_ttft_p99_ms) << " -> "
+            << util::Table::num(chunked.short_ttft_p99_ms) << " ms ("
             << (ttft_better ? "improved" : "REGRESSED") << ")\n"
             << "decode throughput: "
-            << util::Table::num(contiguous.decode_tokens_per_sec) << " -> "
-            << util::Table::num(paged.decode_tokens_per_sec) << " tok/s ("
+            << util::Table::num(single_stage.decode_tokens_per_sec) << " -> "
+            << util::Table::num(chunked.decode_tokens_per_sec) << " tok/s ("
             << (decode_held ? "held" : "REGRESSED") << ")\n";
   return ttft_better && decode_held ? 0 : 1;
 }
