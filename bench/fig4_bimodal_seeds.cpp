@@ -75,6 +75,7 @@ int main() {
     gen.sampler = {1.0, 0, 0.998};
     gen.stop_token = tz.newline_token();
     gen.seed = seed;
+    gen.record_trace = true;
     const auto generation = lm::generate(pipeline.model(), ids, gen);
     const auto span = haystack::find_value_span(generation.trace, tz);
     if (!span.has_value()) {

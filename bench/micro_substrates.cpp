@@ -1,16 +1,19 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// GBT training, syr2k model evaluation, dataset generation and haystack
-// enumeration.  These validate that the HPC-parallel substrate is fast
-// enough for the paper-scale sweeps and catch performance regressions.
+// GBT training, syr2k model evaluation, dataset generation, trace-step
+// construction and haystack enumeration.  These validate that the
+// HPC-parallel substrate is fast enough for the paper-scale sweeps and
+// catch performance regressions.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
 #include "haystack/decoding_set.hpp"
 #include "lm/generate.hpp"
+#include "lm/trace.hpp"
 #include "lm/transformer.hpp"
 #include "perf/dataset.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -125,6 +128,21 @@ void BM_DatasetGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetGenerate)->Unit(benchmark::kMillisecond);
 
+// One recorded trace step over a random-init-like logit row (nearly every
+// entry clears kSelectableProb), i.e. the per-token cost a traced request
+// pays on top of sampling.
+void BM_MakeStep(benchmark::State& state) {
+  std::vector<float> logits(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(7);
+  for (float& l : logits) l = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    const lm::Step step = lm::make_step(logits, 0);
+    benchmark::DoNotOptimize(step.candidates.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MakeStep)->Arg(512);
+
 void BM_HaystackEnumeration(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
   const auto& tz = pipeline.tokenizer();
@@ -137,6 +155,7 @@ void BM_HaystackEnumeration(benchmark::State& state) {
   gen.sampler = {1.0, 0, 1.0};
   gen.stop_token = tz.newline_token();
   gen.seed = 1;
+  gen.record_trace = true;
   const auto generation = lm::generate(pipeline.model(), ids, gen);
   const auto span = haystack::find_value_span(generation.trace, tz);
   if (!span.has_value()) {

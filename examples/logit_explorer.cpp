@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   options.sampler = {1.0, 0, 0.998};
   options.stop_token = tz.newline_token();
   options.seed = seed;
+  options.record_trace = true;
   const auto generation = lm::generate(pipeline.model(), ids, options);
   std::cout << "response: '" << tz.decode(generation.tokens) << "'  (truth "
             << query.runtime << ")\n";

@@ -47,6 +47,7 @@ int main() {
   options.sampler = {1.0, 0, 0.998};
   options.stop_token = pipeline.tokenizer().newline_token();
   options.seed = 42;
+  options.record_trace = true;
   const auto generation =
       lm::generate(pipeline.model(), prompt_ids, options);
   const std::string response =

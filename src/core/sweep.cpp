@@ -191,6 +191,7 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         gen.stop_token = tokenizer.newline_token();
         gen.max_tokens = 64;
         gen.seed = util::hash_combine(settings.seed, 0x5eedULL + seed_id);
+        gen.record_trace = true;  // Table II counts + the observer
 
         // One outstanding request per pool worker, so the bounded queue can
         // never fill up (capacity >= pool size) and rejection is impossible
@@ -200,6 +201,7 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         LMPEEL_CHECK_MSG(served.status == serve::RequestStatus::Ok,
                          "sweep generation rejected by serve engine");
         lm::Generation generation = std::move(served.generation);
+        const lm::GenerationTrace& trace = lm::recorded_trace(generation);
         const std::string response = tokenizer.decode(generation.tokens);
         const auto parsed = prompt::parse_response(response);
 
@@ -210,20 +212,16 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         record.verbatim_copy =
             parsed.value.has_value() &&
             prompt::is_verbatim_copy(parsed.value_text, icl_texts[q]);
-        const auto span =
-            haystack::find_value_span(generation.trace, tokenizer);
+        const auto span = haystack::find_value_span(trace, tokenizer);
         if (span.has_value()) {
           for (std::size_t s = span->first; s < span->second; ++s) {
-            record.candidate_counts.push_back(
-                generation.trace.step(s).candidates.size());
+            record.candidate_counts.push_back(trace.step(s).candidates.size());
           }
-          record.permutations =
-              generation.trace.permutations(span->first, span->second);
+          record.permutations = trace.permutations(span->first, span->second);
         }
         if (observer != nullptr) {
           const std::lock_guard lock(observer_mutex);
-          observer->on_query(setting.key, record, generation.trace,
-                             icl_texts[q]);
+          observer->on_query(setting.key, record, trace, icl_texts[q]);
         }
         setting.queries.push_back(std::move(record));
       }

@@ -35,6 +35,13 @@ double sequence_log_probability(LanguageModel& model,
   return log_prob;
 }
 
+const GenerationTrace& recorded_trace(const Generation& generation) {
+  LMPEEL_CHECK_MSG(generation.trace.length() == generation.tokens.size(),
+                   "generation trace not recorded: set "
+                   "GenerateOptions::record_trace on the request");
+  return generation.trace;
+}
+
 Generation generate(LanguageModel& model, std::span<const int> prompt,
                     const GenerateOptions& options) {
   LMPEEL_CHECK(options.max_tokens > 0);
@@ -55,7 +62,7 @@ Generation generate(LanguageModel& model, std::span<const int> prompt,
     const int token = sample(logits, options.sampler, rng);
     if (options.stop_on_eos && token == tok::kEos) break;
     if (token == options.stop_token) break;
-    {
+    if (options.record_trace) {
       obs::Span trace_span("lm.trace_capture");
       out.trace.add_step(make_step(logits, token));
     }

@@ -43,12 +43,26 @@ double GenerationTrace::permutations(std::size_t first,
 }
 
 Step make_step(std::span<const float> logits, int chosen) {
-  std::vector<float> probs(logits.size());
+  // One softmax scratch row per thread, reused across calls (a sweep
+  // records tens of thousands of steps per worker).
+  thread_local std::vector<float> probs;
+  probs.resize(logits.size());
   probabilities(logits, probs);
+
+  const int n = static_cast<int>(logits.size());
+  std::size_t survivors = 0;
+  for (int i = 0; i < n; ++i) {
+    if (probs[i] >= kSelectableProb) ++survivors;
+  }
+  // The sampled token must remain part of the recorded support even if its
+  // mass fell below the threshold (possible under high temperature).
+  const bool append_chosen =
+      chosen >= 0 && !(probs[chosen] >= kSelectableProb);
 
   Step step;
   step.chosen = chosen;
-  for (int i = 0; i < static_cast<int>(logits.size()); ++i) {
+  step.candidates.reserve(survivors + (append_chosen ? 1 : 0));
+  for (int i = 0; i < n; ++i) {
     if (probs[i] >= kSelectableProb) {
       step.candidates.push_back({i, logits[i], probs[i]});
     }
@@ -58,11 +72,8 @@ Step make_step(std::span<const float> logits, int chosen) {
               if (a.prob != b.prob) return a.prob > b.prob;
               return a.token < b.token;
             });
-  // The sampled token must remain part of the recorded support even if its
-  // mass fell below the threshold (possible under high temperature).
-  if (!step.contains(chosen) && chosen >= 0) {
-    step.candidates.push_back(
-        {chosen, logits[chosen], probs[chosen]});
+  if (append_chosen) {
+    step.candidates.push_back({chosen, logits[chosen], probs[chosen]});
   }
   obs::Registry::global().counter("lm.trace.steps").add();
   obs::Registry::global().counter("lm.trace.candidates")

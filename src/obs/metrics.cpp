@@ -179,10 +179,9 @@ Histogram& Registry::histogram(std::string_view name) {
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds) {
-  return find_or_create(mutex_, histograms_, name, [&] {
-    return std::make_unique<Histogram>(std::move(bounds));
-  });
+                               const std::vector<double>& bounds) {
+  return find_or_create(mutex_, histograms_, name,
+                        [&] { return std::make_unique<Histogram>(bounds); });
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters()

@@ -138,7 +138,8 @@ class Registry {
   Histogram& histogram(std::string_view name);
   /// First use creates the histogram with explicit `bounds`; later calls
   /// (with or without bounds) return the existing instance unchanged.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+  Histogram& histogram(std::string_view name,
+                       const std::vector<double>& bounds);
 
   // --- snapshots (name-sorted, for deterministic sink output) -----------
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;

@@ -24,8 +24,37 @@ double seconds_since(Clock::time_point start, Clock::time_point now) {
 }
 
 /// Occupancy buckets 1..64 (powers of two); anything larger overflows.
-std::vector<double> occupancy_bounds() {
-  return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
+const std::vector<double>& occupancy_bounds() {
+  static const std::vector<double> bounds = {1.0,  2.0,  4.0, 8.0,
+                                             16.0, 32.0, 64.0};
+  return bounds;
+}
+
+/// The per-status retire counter, looked up by its full literal name so
+/// retiring a request composes no string.
+obs::Counter& retired_counter(RequestStatus status) {
+  obs::Registry& reg = obs::Registry::global();
+  switch (status) {
+    case RequestStatus::Ok:
+      return reg.counter("serve.retired.ok");
+    case RequestStatus::QueueFull:
+      return reg.counter("serve.retired.queue_full");
+    case RequestStatus::DeadlineExpired:
+      return reg.counter("serve.retired.deadline_expired");
+    case RequestStatus::Cancelled:
+      return reg.counter("serve.retired.cancelled");
+    case RequestStatus::PromptTooLong:
+      return reg.counter("serve.retired.prompt_too_long");
+    case RequestStatus::ShutDown:
+      return reg.counter("serve.retired.shut_down");
+    case RequestStatus::EngineError:
+      return reg.counter("serve.retired.engine_error");
+    case RequestStatus::Shed:
+      return reg.counter("serve.retired.shed");
+    case RequestStatus::BreakerOpen:
+      return reg.counter("serve.retired.breaker_open");
+  }
+  return reg.counter("serve.retired.unknown");
 }
 
 /// A NaN or +inf in a logits row poisons softmax/argmax silently; reject
@@ -637,7 +666,9 @@ Engine::SampleOutcome Engine::sample_and_record(
     active.ttft_s = seconds_since(active.submitted, Clock::now());
     obs::Registry::global().histogram("serve.ttft_s").record(active.ttft_s);
   }
-  active.generation.trace.add_step(lm::make_step(logits, token));
+  if (options.record_trace) {
+    active.generation.trace.add_step(lm::make_step(logits, token));
+  }
   active.generation.tokens.push_back(token);
   active.last_token = token;
   obs::Registry::global().counter("serve.tokens_generated").add();
@@ -673,9 +704,7 @@ void Engine::retire(std::size_t index, RequestStatus status) {
   result.queue_wait_s = seconds_since(active.submitted, active.admitted);
   result.ttft_s = active.ttft_s;
   result.total_s = seconds_since(active.submitted, Clock::now());
-  obs::Registry::global()
-      .counter(std::string("serve.retired.") + status_name(status))
-      .add();
+  retired_counter(status).add();
   obs::timeline(obs::TimelineKind::Retired, active.request.trace,
                 static_cast<double>(status));
   active.promise.set_value(std::move(result));

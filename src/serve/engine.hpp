@@ -14,8 +14,9 @@
 // Admission control is strict: the submit queue is bounded and a full queue
 // rejects immediately (QueueFull) instead of blocking — backpressure is the
 // caller's signal to shed load.  Sampling inside the engine mirrors
-// lm::generate token for token (same Rng stream, same stop rules, same
-// trace capture), so a served generation is bit-identical to a serial one.
+// lm::generate token for token (same Rng stream, same stop rules, trace
+// capture only when the request sets GenerateOptions::record_trace), so a
+// served generation is bit-identical to a serial one.
 //
 // When EngineConfig::budget is set the engine is additionally cost-aware
 // (DESIGN.md §11): every request is priced before prefill
@@ -158,7 +159,8 @@ class Engine final : public Client {
   /// still prefilling are skipped).
   void step_active(lm::Tensor& logits);
   /// Samples from `logits` exactly as lm::generate does and appends to the
-  /// active sequence.  Validates the row for NaN/Inf first.
+  /// active sequence (plus a trace step if the request opted in).
+  /// Validates the row for NaN/Inf first.
   SampleOutcome sample_and_record(Active& active,
                                   std::span<const float> logits);
   void retire(std::size_t index, RequestStatus status);

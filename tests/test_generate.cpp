@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "lm/induction_lm.hpp"
 #include "tok/tokenizer.hpp"
@@ -41,10 +42,27 @@ TEST(Generate, EmitsUntilMaxTokens) {
   GenerateOptions opt;
   opt.max_tokens = 5;
   opt.sampler = {0.0, 0, 1.0};
+  opt.record_trace = true;
   const auto gen = generate(model, prompt, opt);
   EXPECT_EQ(gen.tokens, (std::vector<int>{11, 12, 13, 14, 15}));
   EXPECT_TRUE(gen.hit_max_tokens);
   EXPECT_EQ(gen.trace.length(), 5u);
+}
+
+TEST(Generate, TraceIsOptInAndChangesNoTokens) {
+  CounterLm model(50, /*eos_after=*/4);
+  const std::vector<int> prompt{10};
+  GenerateOptions opt;
+  opt.max_tokens = 6;
+  opt.sampler = {0.0, 0, 1.0};
+  const auto plain = generate(model, prompt, opt);
+  EXPECT_EQ(plain.trace.length(), 0u);
+  EXPECT_THROW(recorded_trace(plain), std::runtime_error);
+  opt.record_trace = true;
+  const auto traced = generate(model, prompt, opt);
+  EXPECT_EQ(traced.tokens, plain.tokens);
+  EXPECT_EQ(traced.hit_max_tokens, plain.hit_max_tokens);
+  EXPECT_EQ(recorded_trace(traced).tokens(), traced.tokens);
 }
 
 TEST(Generate, StopsOnEosWithoutRecordingIt) {
@@ -75,7 +93,9 @@ TEST(Generate, TraceRecordsChosenTokens) {
   GenerateOptions opt;
   opt.max_tokens = 3;
   opt.sampler = {0.0, 0, 1.0};
+  opt.record_trace = true;
   const auto gen = generate(model, prompt, opt);
+  ASSERT_EQ(gen.trace.length(), gen.tokens.size());
   EXPECT_EQ(gen.trace.tokens(), gen.tokens);
   for (const auto& step : gen.trace.steps()) {
     EXPECT_EQ(step.candidates.size(), 1u);  // deterministic model

@@ -169,7 +169,9 @@ TEST(ExactMoments, AgreesWithMonteCarloOnRealTrace) {
   gen.sampler = {1.0, 0, 1.0};
   gen.stop_token = tz.newline_token();
   gen.seed = 9;
+  gen.record_trace = true;
   const auto generation = lm::generate(model, ids, gen);
+  ASSERT_EQ(generation.trace.length(), generation.tokens.size());
   const auto span = find_value_span(generation.trace, tz);
   ASSERT_TRUE(span.has_value());
   DecodingOptions options;
@@ -227,7 +229,9 @@ TEST(EndToEnd, InductionTraceYieldsLargeHaystack) {
   gen.sampler = {1.0, 0, 1.0};
   gen.stop_token = tz.newline_token();
   gen.seed = 5;
+  gen.record_trace = true;
   const auto generation = lm::generate(model, ids, gen);
+  ASSERT_EQ(generation.trace.length(), generation.tokens.size());
   const auto span = find_value_span(generation.trace, tz);
   ASSERT_TRUE(span.has_value());
   DecodingOptions options;

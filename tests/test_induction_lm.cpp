@@ -54,6 +54,7 @@ class InductionFixture : public ::testing::Test {
     opt.stop_token = tokenizer().newline_token();
     opt.max_tokens = 48;
     opt.seed = seed;
+    opt.record_trace = true;
     return generate(model, ids, opt);
   }
 };
@@ -183,6 +184,7 @@ TEST_F(InductionFixture, LaterFractionPositionsHaveManyCandidates) {
   InductionLm model(tokenizer());
   const auto icl = examples(25, 7);
   const auto gen = respond(model, icl, data()[2048].config, 1);
+  ASSERT_EQ(gen.trace.length(), gen.tokens.size());
   ASSERT_GE(gen.trace.length(), 5u);
   // step 0 = space, steps 1.. = value tokens; step 4 is the second
   // fraction group.

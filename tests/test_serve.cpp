@@ -7,12 +7,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "lm/generate.hpp"
 #include "lm/transformer.hpp"
 #include "obs/metrics.hpp"
+#include "quant/quantized_lm.hpp"
 #include "serve/client.hpp"
 #include "serve/decoder.hpp"
 
@@ -45,7 +47,10 @@ void expect_same_generation(const lm::Generation& expected,
                             const lm::Generation& actual, std::size_t which) {
   ASSERT_EQ(expected.tokens, actual.tokens) << "request " << which;
   EXPECT_EQ(expected.hit_max_tokens, actual.hit_max_tokens);
-  ASSERT_EQ(expected.trace.length(), actual.trace.length());
+  // Both sides must have opted in: two unrecorded (empty) traces would
+  // compare equal without checking anything.
+  ASSERT_EQ(expected.trace.length(), expected.tokens.size());
+  ASSERT_EQ(actual.trace.length(), actual.tokens.size());
   for (std::size_t s = 0; s < expected.trace.length(); ++s) {
     const lm::Step& e = expected.trace.step(s);
     const lm::Step& a = actual.trace.step(s);
@@ -78,6 +83,7 @@ TEST(ServeEngine, BatchedGreedyDecodeMatchesSequentialGenerate) {
     options[r].sampler.temperature = 0.0;  // greedy
     options[r].max_tokens = 9 + r % 3;
     options[r].seed = r;
+    options[r].record_trace = true;
     expected.push_back(lm::generate(model, prompts[r], options[r]));
   }
 
@@ -333,6 +339,7 @@ TEST(ServeEngine, GenericDecoderServesInterleavedSeedsDeterministically) {
   lm::GenerateOptions options;
   options.sampler = {0.9, 0, 1.0};  // stochastic sampling, seeded
   options.max_tokens = 8;
+  options.record_trace = true;
 
   const auto run = [&](std::size_t max_batch) {
     GenericBatchDecoder decoder(model, max_batch);
@@ -358,6 +365,116 @@ TEST(ServeEngine, GenericDecoderServesInterleavedSeedsDeterministically) {
     ASSERT_EQ(batched[r].status, RequestStatus::Ok);
     expect_same_generation(serial[r].generation, batched[r].generation, r);
   }
+}
+
+std::uint64_t trace_steps() {
+  return obs::Registry::global().counter("lm.trace.steps").value();
+}
+
+/// Serves `prompts[r]` with `options[r]` through an 8-slot engine whose
+/// prefill chunks are shorter than every prompt.
+template <typename Model>
+std::vector<ServeResult> serve_chunked(
+    Model& model, const std::vector<std::vector<int>>& prompts,
+    const std::vector<lm::GenerateOptions>& options) {
+  TransformerBatchDecoder decoder(model, 8);
+  EngineConfig config;
+  config.max_batch = 8;
+  config.prefill_chunk_tokens = 4;
+  Engine engine(decoder, config);
+  std::vector<Request> requests;
+  for (std::size_t r = 0; r < prompts.size(); ++r) {
+    Request request;
+    request.prompt = prompts[r];
+    request.options = options[r];
+    requests.push_back(std::move(request));
+  }
+  return generate_all(engine, std::move(requests));
+}
+
+/// Recording the trace only observes: for greedy and T=0.8, the same
+/// request set served with record_trace off and on yields the same tokens
+/// and stop flags, the recorded trace equals serial lm::generate's, and
+/// unrecorded serving builds no trace step at all.
+template <typename Model>
+void expect_trace_opt_in_changes_no_tokens(Model& model) {
+  std::vector<std::vector<int>> prompts;
+  for (std::size_t r = 0; r < 12; ++r) {
+    std::vector<int> prompt;
+    for (std::size_t t = 0; t < 9 + r; ++t) {
+      prompt.push_back(static_cast<int>(5 + (r * 11 + t * 7) % 50));
+    }
+    prompts.push_back(std::move(prompt));
+  }
+  for (const double temperature : {0.0, 0.8}) {
+    SCOPED_TRACE(temperature);
+    std::vector<lm::GenerateOptions> plain_options(prompts.size());
+    for (std::size_t r = 0; r < prompts.size(); ++r) {
+      plain_options[r].sampler.temperature = temperature;
+      plain_options[r].max_tokens = 6 + r % 5;
+      plain_options[r].stop_token = r % 3 == 0 ? 17 : -1;
+      plain_options[r].seed = 40 + r;
+    }
+    std::vector<lm::GenerateOptions> traced_options = plain_options;
+    for (lm::GenerateOptions& options : traced_options) {
+      options.record_trace = true;
+    }
+
+    const std::uint64_t steps_before = trace_steps();
+    const auto plain = serve_chunked(model, prompts, plain_options);
+    EXPECT_EQ(trace_steps(), steps_before);
+    const auto traced = serve_chunked(model, prompts, traced_options);
+    EXPECT_GT(trace_steps(), steps_before);
+
+    ASSERT_EQ(plain.size(), prompts.size());
+    ASSERT_EQ(traced.size(), prompts.size());
+    for (std::size_t r = 0; r < prompts.size(); ++r) {
+      ASSERT_EQ(plain[r].status, RequestStatus::Ok) << r;
+      ASSERT_EQ(traced[r].status, RequestStatus::Ok) << r;
+      EXPECT_EQ(plain[r].generation.tokens, traced[r].generation.tokens) << r;
+      EXPECT_EQ(plain[r].generation.hit_max_tokens,
+                traced[r].generation.hit_max_tokens) << r;
+      EXPECT_EQ(plain[r].generation.trace.length(), 0u) << r;
+      const lm::Generation serial =
+          lm::generate(model, prompts[r], traced_options[r]);
+      expect_same_generation(serial, traced[r].generation, r);
+    }
+  }
+}
+
+TEST(ServeEngine, TraceOptInChangesNoTokensF32) {
+  lm::TransformerLm model(tiny_config(), 23);
+  expect_trace_opt_in_changes_no_tokens(model);
+}
+
+TEST(ServeEngine, TraceOptInChangesNoTokensInt8) {
+  lm::TransformerLm source(tiny_config(), 23);
+  quant::QuantizedLm model(source, quant::WeightFormat::kInt8);
+  expect_trace_opt_in_changes_no_tokens(model);
+}
+
+// A trace reader (the sweep, the CLI's predict) handed a request that did
+// not opt in must fail loudly, not read the unrecorded trace as empty.
+TEST(ServeEngine, ReadingAnUnrecordedTraceThrows) {
+  lm::TransformerLm model(tiny_config(), 5);
+  TransformerBatchDecoder decoder(model, 2);
+  Engine engine(decoder);
+  lm::GenerateOptions options;
+  options.sampler.temperature = 0.0;
+  options.max_tokens = 4;
+  options.stop_on_eos = false;
+  const std::vector<int> prompt = {5, 6, 7};
+
+  const ServeResult plain = generate_sync(engine, prompt, options);
+  ASSERT_EQ(plain.status, RequestStatus::Ok);
+  ASSERT_FALSE(plain.generation.tokens.empty());
+  EXPECT_THROW(lm::recorded_trace(plain.generation), std::runtime_error);
+
+  options.record_trace = true;
+  const ServeResult traced = generate_sync(engine, prompt, options);
+  ASSERT_EQ(traced.status, RequestStatus::Ok);
+  EXPECT_EQ(lm::recorded_trace(traced.generation).tokens(),
+            traced.generation.tokens);
 }
 
 }  // namespace

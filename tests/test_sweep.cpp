@@ -91,11 +91,16 @@ TEST_F(SweepFixture, ObserverSeesEveryQuery) {
   struct Counter : SweepObserver {
     std::size_t calls = 0;
     std::size_t with_trace = 0;
-    void on_query(const SettingKey&, const QueryRecord&,
+    void on_query(const SettingKey&, const QueryRecord& record,
                   const lm::GenerationTrace& trace,
                   const std::vector<std::string>& icl) override {
       ++calls;
       if (trace.length() > 0) ++with_trace;
+      // The sweep opts its requests into the trace: a parsed value means
+      // emitted tokens, so its trace cannot be empty.
+      if (record.predicted.has_value()) {
+        EXPECT_GT(trace.length(), 0u);
+      }
       EXPECT_FALSE(icl.empty());
     }
   } counter;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <limits>
 #include <vector>
 
 #include "lm/language_model.hpp"
+#include "lm/sampler.hpp"
+#include "util/rng.hpp"
 
 namespace lmpeel::lm {
 namespace {
@@ -45,6 +49,78 @@ TEST(MakeStep, ProbabilitiesSumBelowOne) {
   double sum = 0.0;
   for (const Candidate& c : step.candidates) sum += c.prob;
   EXPECT_NEAR(sum, 1.0, 1e-5);
+}
+
+/// make_step as it stood before the scratch-buffer and exact-reserve
+/// rewrite, frozen so the rewrite can be held to bit-identical output.
+Step frozen_make_step(std::span<const float> logits, int chosen) {
+  std::vector<float> probs(logits.size());
+  probabilities(logits, probs);
+  Step step;
+  step.chosen = chosen;
+  for (int i = 0; i < static_cast<int>(logits.size()); ++i) {
+    if (probs[i] >= kSelectableProb) {
+      step.candidates.push_back({i, logits[i], probs[i]});
+    }
+  }
+  std::sort(step.candidates.begin(), step.candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.prob != b.prob) return a.prob > b.prob;
+              return a.token < b.token;
+            });
+  if (!step.contains(chosen) && chosen >= 0) {
+    step.candidates.push_back({chosen, logits[chosen], probs[chosen]});
+  }
+  return step;
+}
+
+TEST(MakeStep, BitIdenticalToFrozenImplementation) {
+  util::Rng rng(1234);
+  std::size_t below_threshold_chosen = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto vocab = static_cast<std::size_t>(trial % 2 == 0 ? 512 : 61);
+    // Wide logits push part of the row under kSelectableProb; quantised
+    // ones create equal probabilities so the token tie-break is exercised.
+    const double scale = 0.5 + 0.05 * trial;
+    std::vector<float> logits(vocab);
+    for (float& l : logits) {
+      l = trial % 3 == 0
+              ? static_cast<float>(rng.uniform_int(-6, 6))
+              : static_cast<float>(rng.normal(0.0, scale));
+    }
+    for (std::size_t i = 0; i < vocab; i += 7 + trial % 5) logits[i] = kNegInf;
+
+    // The lowest-probability finite token: below the threshold on most
+    // wide rows, which makes make_step append it after the sorted set.
+    int weakest = -1;
+    for (std::size_t i = 0; i < vocab; ++i) {
+      if (logits[i] == kNegInf) continue;
+      if (weakest < 0 || logits[i] < logits[weakest]) {
+        weakest = static_cast<int>(i);
+      }
+    }
+    const int chosen = trial % 4 == 0   ? weakest
+                       : trial % 4 == 1 ? sample_greedy(logits)
+                       : trial % 4 == 2 ? 0  // a -inf slot
+                                        : -1;
+
+    const Step expected = frozen_make_step(logits, chosen);
+    const Step actual = make_step(logits, chosen);
+    EXPECT_EQ(actual.chosen, expected.chosen);
+    ASSERT_EQ(actual.candidates.size(), expected.candidates.size())
+        << "trial " << trial;
+    for (std::size_t c = 0; c < expected.candidates.size(); ++c) {
+      EXPECT_EQ(actual.candidates[c].token, expected.candidates[c].token)
+          << "trial " << trial << " candidate " << c;
+      EXPECT_EQ(actual.candidates[c].logit, expected.candidates[c].logit);
+      EXPECT_EQ(actual.candidates[c].prob, expected.candidates[c].prob);
+    }
+    if (chosen == weakest && !expected.candidates.empty() &&
+        expected.candidates.back().prob < kSelectableProb) {
+      ++below_threshold_chosen;
+    }
+  }
+  EXPECT_GT(below_threshold_chosen, 10u);
 }
 
 GenerationTrace make_trace(const std::vector<std::size_t>& counts) {

@@ -172,6 +172,7 @@ int cmd_predict(int argc, char** argv) {
   gen.sampler = {1.0, 0, 0.998};
   gen.stop_token = pipeline.tokenizer().newline_token();
   gen.seed = seed;
+  gen.record_trace = true;
   const auto generation = lm::generate(pipeline.model(), ids, gen);
   const std::string response =
       pipeline.tokenizer().decode(generation.tokens);
@@ -190,7 +191,7 @@ int cmd_predict(int argc, char** argv) {
     std::cout << "no parseable value in the response\n";
   }
   std::cout << "candidates per step:";
-  for (const auto& step : generation.trace.steps()) {
+  for (const auto& step : lm::recorded_trace(generation).steps()) {
     std::cout << ' ' << step.candidates.size();
   }
   std::cout << '\n';
