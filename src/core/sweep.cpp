@@ -148,6 +148,9 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
   serve::GenericBatchDecoder decoder(model, /*slots=*/8);
   serve::EngineConfig engine_config;
   engine_config.max_batch = 8;
+  // Whole-prompt admission: a replay prefill is one next_logits call, so
+  // chunking it would only add scheduler ticks.
+  engine_config.prefill_chunk_tokens = 0;
   engine_config.queue_capacity =
       std::max<std::size_t>(64, util::global_pool().size() * 2);
   serve::Engine engine(decoder, engine_config);

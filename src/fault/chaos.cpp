@@ -58,6 +58,9 @@ ChaosReport run_chaos(serve::BatchDecoder& inner,
   config.max_batch = options.max_batch;
   config.queue_capacity = options.queue_capacity;
   config.step_budget_s = options.step_budget_s;
+  // Whole-prompt admission: chaos prompts are 3-7 tokens, and the CLI runs
+  // them over the replay decoder, whose prefill is one next_logits call.
+  config.prefill_chunk_tokens = 0;
   if (options.budget_bytes != 0) {
     config.budget = &budget;
     config.queue_slo_s = options.queue_slo_s;

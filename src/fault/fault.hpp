@@ -7,7 +7,8 @@
 // This module makes misbehaviour a first-class, reproducible input:
 //
 //   * FaultPlan — a schedule of faults indexed by decoder *operation*
-//     (every BatchDecoder::start or ::step call is one op).  Plans are
+//     (every BatchDecoder::start_chunked or ::step call is one op; prefill
+//     chunks are not).  Plans are
 //     either built explicitly or expanded from a single uint64 seed, so a
 //     chaos run is replayed exactly by replaying its seed.
 //   * FaultInjector — the runtime cursor over a plan.  A wrapped decoder

@@ -23,65 +23,57 @@ void poison_row(std::span<float> row, FaultKind kind) {
 }  // namespace
 
 FaultyDecoder::FaultyDecoder(serve::BatchDecoder& inner, FaultPlan plan)
-    : inner_(&inner), injector_(std::move(plan)) {}
+    : serve::ForwardingDecoder(inner), injector_(std::move(plan)),
+      poison_(inner.slots()) {}
 
-void FaultyDecoder::stall(const FaultEvent& event) {
-  if (event.delay_s <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(event.delay_s));
+std::optional<FaultEvent> FaultyDecoder::apply_next_op() {
+  const auto event = injector_.next_op();
+  if (!event.has_value()) return std::nullopt;
+  switch (event->kind) {
+    case FaultKind::StepThrow:
+      // Throw before delegating: the slot stays unbound (or the batch
+      // unstepped), exactly the state the engine's containment path
+      // restores it to anyway.
+      throw FaultInjectedError(event->op);
+    case FaultKind::StepDelay:
+    case FaultKind::QueuePressure:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(event->delay_s));
+      break;
+    case FaultKind::NanLogits:
+    case FaultKind::InfLogits:
+      return event;
+    case FaultKind::ReplicaKill:
+    case FaultKind::ReplicaStall:
+      break;  // replica-level: the shard layer applies these, not us
+  }
+  return std::nullopt;
 }
 
-void FaultyDecoder::start(std::size_t slot, std::span<const int> prompt,
-                          std::uint64_t seed, std::span<float> out,
-                          std::size_t shared_prefix_tokens) {
-  const auto event = injector_.next_op();
-  if (event.has_value()) {
-    switch (event->kind) {
-      case FaultKind::StepThrow:
-        // Throw before delegating: the slot stays unbound, exactly the
-        // state the engine's containment path restores it to anyway.
-        throw FaultInjectedError(event->op);
-      case FaultKind::StepDelay:
-      case FaultKind::QueuePressure:
-        stall(*event);
-        break;
-      case FaultKind::NanLogits:
-      case FaultKind::InfLogits:
-        break;  // applied to the output below
-      case FaultKind::ReplicaKill:
-      case FaultKind::ReplicaStall:
-        break;  // replica-level: the shard layer applies these, not us
-    }
-  }
-  inner_->start(slot, prompt, seed, out, shared_prefix_tokens);
-  if (event.has_value() && (event->kind == FaultKind::NanLogits ||
-                            event->kind == FaultKind::InfLogits)) {
-    poison_row(out, event->kind);
-  }
+void FaultyDecoder::start_chunked(std::size_t slot,
+                                  std::span<const int> prompt,
+                                  std::uint64_t seed,
+                                  std::size_t shared_prefix_tokens) {
+  const auto poison = apply_next_op();
+  inner().start_chunked(slot, prompt, seed, shared_prefix_tokens);
+  poison_[slot] = poison;
+}
+
+std::size_t FaultyDecoder::prefill_chunk(std::size_t slot,
+                                         std::size_t max_tokens,
+                                         std::span<float> out, bool* done) {
+  const std::size_t advanced =
+      inner().prefill_chunk(slot, max_tokens, out, done);
+  if (*done && poison_[slot].has_value()) poison_row(out, poison_[slot]->kind);
+  return advanced;
 }
 
 void FaultyDecoder::step(std::span<const serve::BatchDecoder::Step> steps,
                          lm::Tensor& logits) {
-  const auto event = injector_.next_op();
-  if (event.has_value()) {
-    switch (event->kind) {
-      case FaultKind::StepThrow:
-        throw FaultInjectedError(event->op);
-      case FaultKind::StepDelay:
-      case FaultKind::QueuePressure:
-        stall(*event);
-        break;
-      case FaultKind::NanLogits:
-      case FaultKind::InfLogits:
-        break;
-      case FaultKind::ReplicaKill:
-      case FaultKind::ReplicaStall:
-        break;  // replica-level: the shard layer applies these, not us
-    }
-  }
-  inner_->step(steps, logits);
-  if (event.has_value() && (event->kind == FaultKind::NanLogits ||
-                            event->kind == FaultKind::InfLogits)) {
-    poison_row(logits.row(event->row % steps.size()), event->kind);
+  const auto poison = apply_next_op();
+  inner().step(steps, logits);
+  if (poison.has_value()) {
+    poison_row(logits.row(poison->row % steps.size()), poison->kind);
   }
 }
 

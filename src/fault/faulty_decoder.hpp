@@ -1,66 +1,50 @@
 // BatchDecoder wrapper that applies a FaultInjector's schedule.
 //
-// Sits between the engine and a real decoder: each start()/step() consults
-// the injector for the current op and applies the scheduled fault —
-// throwing, corrupting logits, or stalling — before/after delegating.
-// Because it implements the plain BatchDecoder interface, the engine under
-// test is the production engine, bit for bit; only the decoder misbehaves.
+// Sits between the engine and a real decoder: each start_chunked()/step()
+// consults the injector for the current op and applies the scheduled
+// fault — throwing, corrupting logits, or stalling — before/after
+// delegating.  Prefill chunks consume no op: a NaN/Inf scheduled for an
+// admission poisons that request's final chunk, so a seeded plan hits the
+// same requests however prompts are chunked.  Every other call forwards
+// untouched, so the engine under test is the production engine, bit for
+// bit; only the decoder misbehaves.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "serve/decoder.hpp"
 
 namespace lmpeel::fault {
 
-class FaultyDecoder final : public serve::BatchDecoder {
+class FaultyDecoder final : public serve::ForwardingDecoder {
  public:
   /// The inner decoder must outlive the wrapper.
   FaultyDecoder(serve::BatchDecoder& inner, FaultPlan plan);
 
-  int vocab_size() const override { return inner_->vocab_size(); }
-  std::size_t slots() const override { return inner_->slots(); }
-  std::size_t max_sequence_length() const override {
-    return inner_->max_sequence_length();
-  }
-
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override;
+  void start_chunked(std::size_t slot, std::span<const int> prompt,
+                     std::uint64_t seed,
+                     std::size_t shared_prefix_tokens = 0) override;
+  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
+                            std::span<float> out, bool* done) override;
   void step(std::span<const serve::BatchDecoder::Step> steps,
             lm::Tensor& logits) override;
-  void release(std::size_t slot) override { inner_->release(slot); }
   std::string name() const override {
-    return "faulty(" + inner_->name() + ")";
-  }
-  // Resource governance passes straight through: cost estimates and budget
-  // accounting must describe the real decoder, faults or not.
-  std::size_t bytes_per_token() const override {
-    return inner_->bytes_per_token();
-  }
-  void bind_budget(guard::Budget* budget) override {
-    inner_->bind_budget(budget);
-  }
-  // Prefix reuse too: the engine's suffix pricing must see the real
-  // decoder's cache state, and an abandoned prepare must reach it even
-  // when this wrapper threw before forwarding start().
-  std::size_t prepare_prefix(std::span<const int> prompt) override {
-    return inner_->prepare_prefix(prompt);
-  }
-  void abandon_prefix() override { inner_->abandon_prefix(); }
-  std::size_t shed_cache(std::size_t bytes) override {
-    return inner_->shed_cache(bytes);
+    return "faulty(" + inner().name() + ")";
   }
 
   const FaultInjector& injector() const noexcept { return injector_; }
 
  private:
-  /// Sleeps for the event's stall duration (no-op for zero delays).
-  static void stall(const FaultEvent& event);
+  /// Consumes the next op: throws for StepThrow, sleeps off a stall, and
+  /// returns a NaN/Inf event the caller must apply to its logits.
+  std::optional<FaultEvent> apply_next_op();
 
-  serve::BatchDecoder* inner_;
   FaultInjector injector_;
+  /// Per slot: the NaN/Inf its admission drew, applied to the final chunk.
+  std::vector<std::optional<FaultEvent>> poison_;
 };
 
 }  // namespace lmpeel::fault

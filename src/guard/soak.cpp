@@ -35,70 +35,29 @@ namespace {
 
 using Clock = serve::Clock;
 
-/// Decoder wrapper whose prefill throws while the sick flag is up — the
+/// Decoder wrapper whose admission throws while the sick flag is up — the
 /// soak's way of making the engine visibly unhealthy for a bounded window
-/// so the breaker has something real to trip on.  Steps stay healthy:
-/// in-flight work admitted before the window finishes normally.
-class SickWindowDecoder final : public serve::BatchDecoder {
+/// so the breaker has something real to trip on.  Steps and the chunks of
+/// already-admitted prompts stay healthy: in-flight work admitted before
+/// the window finishes normally.
+class SickWindowDecoder final : public serve::ForwardingDecoder {
  public:
   SickWindowDecoder(serve::BatchDecoder& inner, std::atomic<bool>& sick)
-      : inner_(&inner), sick_(&sick) {}
+      : serve::ForwardingDecoder(inner), sick_(&sick) {}
 
-  int vocab_size() const override { return inner_->vocab_size(); }
-  std::size_t slots() const override { return inner_->slots(); }
-  std::size_t max_sequence_length() const override {
-    return inner_->max_sequence_length();
-  }
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override {
+  std::string name() const override { return "sick(" + inner().name() + ")"; }
+  void start_chunked(std::size_t slot, std::span<const int> prompt,
+                     std::uint64_t seed,
+                     std::size_t shared_prefix_tokens = 0) override {
     if (sick_->load(std::memory_order_relaxed)) {
       // Thrown before forwarding: the engine's containment path must also
       // abandon the prefix the inner decoder prepared (engine.cpp catch).
       throw std::runtime_error("soak sick window: prefill refused");
     }
-    inner_->start(slot, prompt, seed, out, shared_prefix_tokens);
-  }
-  void step(std::span<const Step> steps, lm::Tensor& logits) override {
-    inner_->step(steps, logits);
-  }
-  void release(std::size_t slot) override { inner_->release(slot); }
-  std::string name() const override { return "sick(" + inner_->name() + ")"; }
-  std::size_t bytes_per_token() const override {
-    return inner_->bytes_per_token();
-  }
-  void bind_budget(Budget* budget) override { inner_->bind_budget(budget); }
-  std::size_t prepare_prefix(std::span<const int> prompt) override {
-    return inner_->prepare_prefix(prompt);
-  }
-  void abandon_prefix() override { inner_->abandon_prefix(); }
-  std::size_t shed_cache(std::size_t bytes) override {
-    return inner_->shed_cache(bytes);
-  }
-  std::size_t cost_slack_bytes() const override {
-    return inner_->cost_slack_bytes();
-  }
-  bool supports_chunked_prefill() const override {
-    return inner_->supports_chunked_prefill();
-  }
-  void start_chunked(std::size_t slot, std::span<const int> prompt,
-                     std::uint64_t seed,
-                     std::size_t shared_prefix_tokens = 0) override {
-    // Under two-stage scheduling admission is where the sick window bites
-    // (same containment path as start()); chunks of already-admitted
-    // prompts stay healthy, mirroring how step() does.
-    if (sick_->load(std::memory_order_relaxed)) {
-      throw std::runtime_error("soak sick window: prefill refused");
-    }
-    inner_->start_chunked(slot, prompt, seed, shared_prefix_tokens);
-  }
-  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
-                            std::span<float> out, bool* done) override {
-    return inner_->prefill_chunk(slot, max_tokens, out, done);
+    inner().start_chunked(slot, prompt, seed, shared_prefix_tokens);
   }
 
  private:
-  serve::BatchDecoder* inner_;
   std::atomic<bool>* sick_;
 };
 
@@ -177,61 +136,29 @@ serve::Request soak_request(util::Rng& rng, int vocab,
 }
 
 /// Decoder wrapper realising fault::FaultKind::ReplicaStall: arm() charges
-/// one stall window, and the next decoder op sleeps it off — the replica
-/// visibly stops making progress without corrupting any state.
-class StallDecoder final : public serve::BatchDecoder {
+/// one stall window, and the next admission or step sleeps it off — the
+/// replica visibly stops making progress without corrupting any state.
+class StallDecoder final : public serve::ForwardingDecoder {
  public:
-  explicit StallDecoder(serve::BatchDecoder& inner) : inner_(&inner) {}
+  explicit StallDecoder(serve::BatchDecoder& inner)
+      : serve::ForwardingDecoder(inner) {}
 
   void arm(double seconds) {
     stall_s_.store(seconds, std::memory_order_relaxed);
   }
 
-  int vocab_size() const override { return inner_->vocab_size(); }
-  std::size_t slots() const override { return inner_->slots(); }
-  std::size_t max_sequence_length() const override {
-    return inner_->max_sequence_length();
-  }
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override {
-    maybe_stall();
-    inner_->start(slot, prompt, seed, out, shared_prefix_tokens);
-  }
-  void step(std::span<const Step> steps, lm::Tensor& logits) override {
-    maybe_stall();
-    inner_->step(steps, logits);
-  }
-  void release(std::size_t slot) override { inner_->release(slot); }
   std::string name() const override {
-    return "stall(" + inner_->name() + ")";
-  }
-  std::size_t bytes_per_token() const override {
-    return inner_->bytes_per_token();
-  }
-  void bind_budget(Budget* budget) override { inner_->bind_budget(budget); }
-  std::size_t prepare_prefix(std::span<const int> prompt) override {
-    return inner_->prepare_prefix(prompt);
-  }
-  void abandon_prefix() override { inner_->abandon_prefix(); }
-  std::size_t shed_cache(std::size_t bytes) override {
-    return inner_->shed_cache(bytes);
-  }
-  std::size_t cost_slack_bytes() const override {
-    return inner_->cost_slack_bytes();
-  }
-  bool supports_chunked_prefill() const override {
-    return inner_->supports_chunked_prefill();
+    return "stall(" + inner().name() + ")";
   }
   void start_chunked(std::size_t slot, std::span<const int> prompt,
                      std::uint64_t seed,
                      std::size_t shared_prefix_tokens = 0) override {
     maybe_stall();
-    inner_->start_chunked(slot, prompt, seed, shared_prefix_tokens);
+    inner().start_chunked(slot, prompt, seed, shared_prefix_tokens);
   }
-  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
-                            std::span<float> out, bool* done) override {
-    return inner_->prefill_chunk(slot, max_tokens, out, done);
+  void step(std::span<const Step> steps, lm::Tensor& logits) override {
+    maybe_stall();
+    inner().step(steps, logits);
   }
 
  private:
@@ -242,7 +169,6 @@ class StallDecoder final : public serve::BatchDecoder {
     }
   }
 
-  serve::BatchDecoder* inner_;
   std::atomic<double> stall_s_{0.0};
 };
 

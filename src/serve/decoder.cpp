@@ -3,36 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lmpeel::serve {
-
-// ---- BatchDecoder defaults ------------------------------------------------
-
-void BatchDecoder::start_chunked(std::size_t slot, std::span<const int> prompt,
-                                 std::uint64_t seed,
-                                 std::size_t shared_prefix_tokens) {
-  (void)slot;
-  (void)prompt;
-  (void)seed;
-  (void)shared_prefix_tokens;
-  LMPEEL_CHECK_MSG(false, "start_chunked() on a decoder without "
-                          "chunked-prefill support");
-}
-
-std::size_t BatchDecoder::prefill_chunk(std::size_t slot,
-                                        std::size_t max_tokens,
-                                        std::span<float> out, bool* done) {
-  (void)slot;
-  (void)max_tokens;
-  (void)out;
-  (void)done;
-  LMPEEL_CHECK_MSG(false, "prefill_chunk() on a decoder without "
-                          "chunked-prefill support");
-  return 0;
-}
 
 // ---- TransformerBatchDecoder ---------------------------------------------
 
@@ -42,7 +16,7 @@ TransformerBatchDecoder::TransformerBatchDecoder(lm::KvBackend& model,
                                                  mem::PagePool* pool)
     : model_(&model), caches_(slots), sequences_(slots), parallel_(parallel),
       pool_(pool), surcharges_(slots, 0), pending_prompt_(slots, 0),
-      insert_hints_(slots, 0) {
+      insert_lens_(slots, 0) {
   LMPEEL_CHECK_MSG(slots > 0, "TransformerBatchDecoder needs >= 1 slot");
   const lm::TransformerConfig& cfg = model_->config();
   if (pool_ == nullptr) {
@@ -114,11 +88,13 @@ std::size_t TransformerBatchDecoder::shed_cache(std::size_t bytes) {
   return prefix_cache_->shed(bytes);
 }
 
-std::size_t TransformerBatchDecoder::begin_slot(std::size_t slot,
-                                                std::span<const int> prompt,
-                                                std::uint64_t seed) {
+void TransformerBatchDecoder::start_chunked(std::size_t slot,
+                                            std::span<const int> prompt,
+                                            std::uint64_t seed,
+                                            std::size_t shared_prefix_tokens) {
   LMPEEL_CHECK(slot < caches_.size());
-  LMPEEL_CHECK_MSG(sequences_[slot].empty(), "start() on an occupied slot");
+  LMPEEL_CHECK_MSG(sequences_[slot].empty(),
+                   "start_chunked() on an occupied slot");
   LMPEEL_CHECK(!prompt.empty());
   model_->set_seed(seed);  // TransformerLm ignores it; kept for parity
   caches_[slot].clear();
@@ -136,50 +112,17 @@ std::size_t TransformerBatchDecoder::begin_slot(std::size_t slot,
     surcharges_[slot] = lookup.surcharge_bytes;
     if (reused > 0) prefix_cache_->copy_to(lookup, caches_[slot]);
     prefix_cache_->release(lookup);
+    insert_lens_[slot] =
+        shared_prefix_tokens > 0
+            ? std::min(shared_prefix_tokens, prompt.size())
+            : (prefix_cache_->config().auto_insert_prompts ? prompt.size()
+                                                           : 0);
   }
-  return reused;
-}
-
-void TransformerBatchDecoder::finish_prefill(std::size_t slot,
-                                             std::size_t insert_hint) {
-  if (prefix_cache_ == nullptr) return;
-  const std::vector<int>& prompt = sequences_[slot];
-  const std::size_t insert_len =
-      insert_hint > 0
-          ? std::min(insert_hint, prompt.size())
-          : (prefix_cache_->config().auto_insert_prompts ? prompt.size() : 0);
-  if (insert_len > 0) {
-    prefix_cache_->insert(
-        std::span<const int>(prompt).first(insert_len), caches_[slot]);
-  }
-}
-
-void TransformerBatchDecoder::start(std::size_t slot,
-                                    std::span<const int> prompt,
-                                    std::uint64_t seed, std::span<float> out,
-                                    std::size_t shared_prefix_tokens) {
-  const std::size_t reused = begin_slot(slot, prompt, seed);
-  if (reused > 0) {
-    model_->prefill_from(caches_[slot], prompt.subspan(reused), out);
-  } else {
-    model_->prefill(caches_[slot], prompt, out);
-  }
-  sequences_[slot].assign(prompt.begin(), prompt.end());
-  finish_prefill(slot, shared_prefix_tokens);
-}
-
-void TransformerBatchDecoder::start_chunked(std::size_t slot,
-                                            std::span<const int> prompt,
-                                            std::uint64_t seed,
-                                            std::size_t shared_prefix_tokens) {
-  const std::size_t reused = begin_slot(slot, prompt, seed);
   // Reused rows are already in the cache (cache.length() == reused), so
   // only the remainder needs forwarding — prefill_chunk resumes from the
   // cache's own length.
   sequences_[slot].assign(prompt.begin(), prompt.end());
   pending_prompt_[slot] = prompt.size() - reused;
-  insert_hints_[slot] = shared_prefix_tokens;
-  LMPEEL_CHECK(pending_prompt_[slot] > 0);
 }
 
 std::size_t TransformerBatchDecoder::prefill_chunk(std::size_t slot,
@@ -188,7 +131,7 @@ std::size_t TransformerBatchDecoder::prefill_chunk(std::size_t slot,
                                                    bool* done) {
   LMPEEL_CHECK(slot < caches_.size());
   LMPEEL_CHECK_MSG(pending_prompt_[slot] > 0,
-                   "prefill_chunk() without a pending chunked prefill");
+                   "prefill_chunk() without a pending prefill");
   LMPEEL_CHECK(max_tokens > 0 && done != nullptr);
   const std::vector<int>& prompt = sequences_[slot];
   const std::size_t base = caches_[slot].length();
@@ -196,23 +139,18 @@ std::size_t TransformerBatchDecoder::prefill_chunk(std::size_t slot,
   const std::size_t take = std::min(max_tokens, pending_prompt_[slot]);
   const std::span<const int> chunk(prompt.data() + base, take);
   const bool final_chunk = take == pending_prompt_[slot];
-  if (final_chunk) {
-    model_->prefill_from(caches_[slot], chunk, out);
-  } else {
-    // Mid-prompt logits are never sampled; feed a scratch buffer.  The
-    // chunk boundary cannot change any float: prefill_from rows only read
-    // K/V of earlier positions, which are identical however the prompt is
-    // sliced (DESIGN.md §12/§14).
-    chunk_logits_.resize(static_cast<std::size_t>(model_->vocab_size()));
-    model_->prefill_from(caches_[slot], chunk, chunk_logits_);
-  }
+  // Mid-prompt logits are never sampled; they go to a scratch buffer.  The
+  // chunk boundary cannot change any float: prefill_from rows only read
+  // K/V of earlier positions, which are identical however the prompt is
+  // sliced (DESIGN.md §12/§14).
+  chunk_logits_.resize(static_cast<std::size_t>(model_->vocab_size()));
+  model_->prefill_from(caches_[slot], chunk,
+                       final_chunk ? out : std::span<float>(chunk_logits_));
   pending_prompt_[slot] -= take;
-  if (final_chunk) {
-    finish_prefill(slot, insert_hints_[slot]);
-    insert_hints_[slot] = 0;
-    *done = true;
-  } else {
-    *done = false;
+  *done = final_chunk;
+  if (final_chunk && prefix_cache_ != nullptr && insert_lens_[slot] > 0) {
+    const std::span<const int> prefix(prompt.data(), insert_lens_[slot]);
+    prefix_cache_->insert(prefix, caches_[slot]);
   }
   return take;
 }
@@ -291,7 +229,7 @@ void TransformerBatchDecoder::release(std::size_t slot) {
   caches_[slot].clear();
   sequences_[slot].clear();
   pending_prompt_[slot] = 0;
-  insert_hints_[slot] = 0;
+  insert_lens_[slot] = 0;
   if (surcharges_[slot] > 0) {
     if (prefix_cache_ != nullptr) {
       prefix_cache_->release_bytes(surcharges_[slot]);
@@ -305,7 +243,7 @@ void TransformerBatchDecoder::release(std::size_t slot) {
 GenericBatchDecoder::GenericBatchDecoder(lm::LanguageModel& model,
                                          std::size_t slots)
     : model_(&model), contexts_(slots), seeds_(slots, 0),
-      accounted_(slots, 0) {
+      accounted_(slots, 0), pending_prompt_(slots, 0) {
   LMPEEL_CHECK_MSG(slots > 0, "GenericBatchDecoder needs >= 1 slot");
 }
 
@@ -320,18 +258,37 @@ void GenericBatchDecoder::settle(std::size_t slot) {
   accounted_[slot] = now;
 }
 
-void GenericBatchDecoder::start(std::size_t slot, std::span<const int> prompt,
-                                std::uint64_t seed, std::span<float> out,
-                                std::size_t shared_prefix_tokens) {
+void GenericBatchDecoder::start_chunked(std::size_t slot,
+                                        std::span<const int> prompt,
+                                        std::uint64_t seed,
+                                        std::size_t shared_prefix_tokens) {
   (void)shared_prefix_tokens;  // context replay has no prefill to skip
   LMPEEL_CHECK(slot < contexts_.size());
-  LMPEEL_CHECK_MSG(contexts_[slot].empty(), "start() on an occupied slot");
+  LMPEEL_CHECK_MSG(contexts_[slot].empty(),
+                   "start_chunked() on an occupied slot");
   LMPEEL_CHECK(!prompt.empty());
   contexts_[slot].assign(prompt.begin(), prompt.end());
   seeds_[slot] = seed;
+  pending_prompt_[slot] = prompt.size();
   settle(slot);
-  model_->set_seed(seed);
-  model_->next_logits(contexts_[slot], out);
+}
+
+std::size_t GenericBatchDecoder::prefill_chunk(std::size_t slot,
+                                               std::size_t max_tokens,
+                                               std::span<float> out,
+                                               bool* done) {
+  LMPEEL_CHECK(slot < contexts_.size());
+  LMPEEL_CHECK_MSG(pending_prompt_[slot] > 0,
+                   "prefill_chunk() without a pending prefill");
+  LMPEEL_CHECK(max_tokens > 0 && done != nullptr);
+  const std::size_t take = std::min(max_tokens, pending_prompt_[slot]);
+  pending_prompt_[slot] -= take;
+  *done = pending_prompt_[slot] == 0;
+  if (*done) {
+    model_->set_seed(seeds_[slot]);
+    model_->next_logits(contexts_[slot], out);
+  }
+  return take;
 }
 
 void GenericBatchDecoder::step(std::span<const Step> steps,
@@ -346,6 +303,8 @@ void GenericBatchDecoder::step(std::span<const Step> steps,
     const Step& s = steps[i];
     LMPEEL_CHECK(s.slot < contexts_.size());
     LMPEEL_CHECK_MSG(!contexts_[s.slot].empty(), "step() on a free slot");
+    LMPEEL_CHECK_MSG(pending_prompt_[s.slot] == 0,
+                     "step() on a slot still prefilling");
     contexts_[s.slot].push_back(s.token);
     settle(s.slot);
     // Re-seed before every call: interleaved requests must each see the
@@ -359,6 +318,7 @@ void GenericBatchDecoder::release(std::size_t slot) {
   LMPEEL_CHECK(slot < contexts_.size());
   contexts_[slot].clear();
   seeds_[slot] = 0;
+  pending_prompt_[slot] = 0;
   settle(slot);
 }
 

@@ -2,17 +2,21 @@
 //
 // The engine schedules token steps; a BatchDecoder owns the per-slot model
 // state (KV caches or raw contexts) and turns a set of (slot, token) pairs
-// into one batched forward.  Two implementations:
+// into one batched forward.  Every decoder prefills through the same
+// chunked protocol (start_chunked + prefill_chunk); wrappers derive from
+// ForwardingDecoder.  Two implementations:
 //
-//  * TransformerBatchDecoder — a paged KvCache per slot, prefill on
-//    admission, and KvBackend::decode_batch for the incremental steps, so
-//    weights stream through the cache once per step for the whole batch.
+//  * TransformerBatchDecoder — a paged KvCache per slot, chunked prefill
+//    via prefill_from, and KvBackend::decode_batch for the incremental
+//    steps, so weights stream through the cache once per step for the
+//    whole batch.
 //    Large batches are additionally split across the global thread pool:
 //    rows of a batched step are independent, so the split preserves the
 //    bit-for-bit equivalence with sequential next_logits().
 //  * GenericBatchDecoder — works with any LanguageModel by keeping a full
 //    context per slot and looping next_logits (no batching speedup; lets
-//    the engine serve InductionLm-backed sweeps and tuners).
+//    the engine serve InductionLm-backed sweeps and tuners).  A prefill
+//    chunk only moves a cursor; the final one runs next_logits.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +34,12 @@
 
 namespace lmpeel::serve {
 
-/// Fixed-capacity slot machine: the engine calls start() to bind a request
-/// to a free slot, step() to advance any subset of bound slots by one token
-/// each, and release() when the request retires.  Implementations must keep
-/// results independent of which other slots are active in a step.
+/// Fixed-capacity slot machine: the engine calls start_chunked() to bind a
+/// request to a free slot, prefill_chunk() until the prompt is prefilled,
+/// step() to advance any subset of bound slots by one token each, and
+/// release() when the request retires.  Implementations must keep results
+/// independent of which other slots are active in a step, and of how the
+/// prompt is split into chunks.
 class BatchDecoder {
  public:
   virtual ~BatchDecoder() = default;
@@ -44,15 +50,18 @@ class BatchDecoder {
   /// Hard context window (prompt + generated), 0 = unbounded.
   virtual std::size_t max_sequence_length() const = 0;
 
-  /// Binds `prompt` to `slot` (must be free), runs the prefill, and writes
-  /// the logits following the prompt's last token into `out` (vocab_size()
-  /// floats).  `seed` reseeds model-internal stochasticity for this
-  /// request, mirroring lm::generate's model.set_seed call.
-  /// `shared_prefix_tokens` forwards Request::shared_prefix_tokens — a
-  /// prefix-cache insertion hint implementations may ignore.
+  /// Binds `prompt` to `slot` (must be free) and prefills it whole:
+  /// start_chunked(), then prefill_chunk() until the prompt completes,
+  /// leaving the logits following the prompt's last token in `out`
+  /// (vocab_size() floats).  A convenience over the chunked protocol for
+  /// callers outside the engine, which always drives the chunks itself.
   virtual void start(std::size_t slot, std::span<const int> prompt,
                      std::uint64_t seed, std::span<float> out,
-                     std::size_t shared_prefix_tokens = 0) = 0;
+                     std::size_t shared_prefix_tokens = 0) {
+    start_chunked(slot, prompt, seed, shared_prefix_tokens);
+    bool done = false;
+    while (!done) prefill_chunk(slot, prompt.size(), out, &done);
+  }
 
   struct Step {
     std::size_t slot = 0;  ///< bound slot to advance
@@ -84,9 +93,9 @@ class BatchDecoder {
   /// Looks up the longest cached prefix of `prompt` and reserves whatever
   /// the reuse will cost (the slot's copy of the cached rows), so the
   /// engine can price only the remaining suffix.  Returns the number of
-  /// prompt tokens that will be reused by the next start() for this
-  /// prompt; 0 = no cache or no match.  Must be paired with either that
-  /// start() call or abandon_prefix().
+  /// prompt tokens that will be reused by the next start_chunked() for
+  /// this prompt; 0 = no cache or no match.  Must be paired with either
+  /// that start_chunked() call or abandon_prefix().
   virtual std::size_t prepare_prefix(std::span<const int> prompt) {
     (void)prompt;
     return 0;
@@ -107,22 +116,81 @@ class BatchDecoder {
   /// bytes_per_token() × tokens — page-rounding + copy-on-write slack for
   /// paged backends.  0 for exact-byte backends.
   virtual std::size_t cost_slack_bytes() const { return 0; }
-  /// True when start_chunked()/prefill_chunk() are implemented; the engine
-  /// only runs its two-stage scheduler against decoders that say yes.
-  virtual bool supports_chunked_prefill() const { return false; }
-  /// Binds `prompt` to `slot` like start(), but runs no model forward: the
-  /// prompt is prefilled incrementally by subsequent prefill_chunk() calls
-  /// so one long prompt cannot stall a whole tick.  The base class
-  /// CHECK-fails — callers must consult supports_chunked_prefill().
+  /// Always true: every decoder prefills in chunks.  Nothing in the
+  /// library reads it; it stays declared only because the benchmark's
+  /// timing wrapper overrides it, and goes with the next change to that
+  /// benchmark.
+  virtual bool supports_chunked_prefill() const { return true; }
+  /// Binds `prompt` to `slot` (must be free) but runs no model forward:
+  /// the prompt is prefilled by subsequent prefill_chunk() calls, so one
+  /// long prompt cannot stall a whole tick.  `seed` reseeds model-internal
+  /// stochasticity for this request, mirroring lm::generate's
+  /// model.set_seed call.  `shared_prefix_tokens` forwards
+  /// Request::shared_prefix_tokens — a prefix-cache insertion hint
+  /// implementations may ignore.
   virtual void start_chunked(std::size_t slot, std::span<const int> prompt,
                              std::uint64_t seed,
-                             std::size_t shared_prefix_tokens = 0);
-  /// Advances slot's pending prefill by up to `max_tokens` prompt tokens;
-  /// returns the tokens actually advanced.  When the prompt completes this
-  /// sets *done and writes the logits following the last prompt token into
-  /// `out` (vocab_size() floats) — the slot is then ready for step().
+                             std::size_t shared_prefix_tokens = 0) = 0;
+  /// Advances slot's pending prefill by up to `max_tokens` (> 0) prompt
+  /// tokens; returns the tokens actually advanced.  When the prompt
+  /// completes this sets *done and writes the logits following the last
+  /// prompt token into `out` (vocab_size() floats) — the slot is then
+  /// ready for step().
   virtual std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
-                                    std::span<float> out, bool* done);
+                                    std::span<float> out, bool* done) = 0;
+};
+
+/// Base for decoder wrappers (fault injection, stalls, timing): forwards
+/// every virtual to `inner`, so a wrapper overrides only what it changes
+/// and cannot silently drop a call it never heard of.  start() is the one
+/// call not forwarded — BatchDecoder's implementation runs through the
+/// wrapper's own start_chunked() and prefill_chunk().
+class ForwardingDecoder : public BatchDecoder {
+ public:
+  /// `inner` must outlive the wrapper.
+  explicit ForwardingDecoder(BatchDecoder& inner) : inner_(&inner) {}
+
+  int vocab_size() const override { return inner_->vocab_size(); }
+  std::size_t slots() const override { return inner_->slots(); }
+  std::size_t max_sequence_length() const override {
+    return inner_->max_sequence_length();
+  }
+  void step(std::span<const Step> steps, lm::Tensor& logits) override {
+    inner_->step(steps, logits);
+  }
+  void release(std::size_t slot) override { inner_->release(slot); }
+  std::string name() const override { return inner_->name(); }
+  std::size_t bytes_per_token() const override {
+    return inner_->bytes_per_token();
+  }
+  void bind_budget(guard::Budget* budget) override {
+    inner_->bind_budget(budget);
+  }
+  std::size_t prepare_prefix(std::span<const int> prompt) override {
+    return inner_->prepare_prefix(prompt);
+  }
+  void abandon_prefix() override { inner_->abandon_prefix(); }
+  std::size_t shed_cache(std::size_t bytes) override {
+    return inner_->shed_cache(bytes);
+  }
+  std::size_t cost_slack_bytes() const override {
+    return inner_->cost_slack_bytes();
+  }
+  void start_chunked(std::size_t slot, std::span<const int> prompt,
+                     std::uint64_t seed,
+                     std::size_t shared_prefix_tokens = 0) override {
+    inner_->start_chunked(slot, prompt, seed, shared_prefix_tokens);
+  }
+  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
+                            std::span<float> out, bool* done) override {
+    return inner_->prefill_chunk(slot, max_tokens, out, done);
+  }
+
+ protected:
+  BatchDecoder& inner() const { return *inner_; }
+
+ private:
+  BatchDecoder* inner_;
 };
 
 /// KV-cached batched decoder over any lm::KvBackend — the f32 TransformerLm
@@ -135,7 +203,8 @@ class TransformerBatchDecoder final : public BatchDecoder {
   /// decoder owns a private pool of the model's shape (default page size)
   /// that all its slots share.  Prefix-cache hits on the same pool share
   /// pages zero-copy, and pool exhaustion surfaces as mem::PoolExhausted
-  /// from start/step, which the engine maps to a Shed.
+  /// from start_chunked/prefill_chunk/step, which the engine maps to a
+  /// Shed.
   TransformerBatchDecoder(lm::KvBackend& model, std::size_t slots,
                           bool parallel = true,
                           mem::PagePool* pool = nullptr);
@@ -145,9 +214,6 @@ class TransformerBatchDecoder final : public BatchDecoder {
   std::size_t max_sequence_length() const override {
     return static_cast<std::size_t>(model_->config().max_seq);
   }
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override;
   void step(std::span<const Step> steps, lm::Tensor& logits) override;
   void release(std::size_t slot) override;
   std::string name() const override { return "transformer-batch"; }
@@ -161,8 +227,8 @@ class TransformerBatchDecoder final : public BatchDecoder {
 
   /// Attaches a prefix cache (null detaches); must share this decoder's
   /// model and, once bind_budget runs, its budget.  The cache must outlive
-  /// the decoder.  start() then reuses the longest cached prefix of each
-  /// prompt (bit-identical — see prefill_from) and inserts completed
+  /// the decoder.  start_chunked() then reuses the longest cached prefix
+  /// of each prompt (bit-identical — see prefill_from) and inserts completed
   /// prefixes back per the cache's config.
   void set_prefix_cache(cache::PrefixCache* prefix_cache);
   std::size_t prepare_prefix(std::span<const int> prompt) override;
@@ -173,7 +239,8 @@ class TransformerBatchDecoder final : public BatchDecoder {
     // Page rounding (≤ 1 page) plus one transient copy-on-write page.
     return 2 * pool_->page_bytes();
   }
-  bool supports_chunked_prefill() const override { return true; }
+  /// Claims the slot and consumes the pending prefix lookup, sharing the
+  /// cached rows into the slot cache; prefill_chunk() forwards the rest.
   void start_chunked(std::size_t slot, std::span<const int> prompt,
                      std::uint64_t seed,
                      std::size_t shared_prefix_tokens = 0) override;
@@ -181,14 +248,6 @@ class TransformerBatchDecoder final : public BatchDecoder {
                             std::span<float> out, bool* done) override;
 
  private:
-  /// Shared admission step of start()/start_chunked(): claims the slot,
-  /// consumes the pending prefix lookup (copying/sharing `reused` cached
-  /// tokens into the slot cache) and returns `reused`.
-  std::size_t begin_slot(std::size_t slot, std::span<const int> prompt,
-                         std::uint64_t seed);
-  /// Prefix-cache insertion once the whole prompt is prefilled.
-  void finish_prefill(std::size_t slot, std::size_t insert_hint);
-
   lm::KvBackend* model_;
   std::vector<lm::KvCache> caches_;
   std::vector<std::vector<int>> sequences_;  // per slot, for bound checks
@@ -197,13 +256,14 @@ class TransformerBatchDecoder final : public BatchDecoder {
   mem::PagePool* pool_ = nullptr;    // every slot's KV pages
   guard::Budget* budget_ = nullptr;  // step-scratch accounting
   cache::PrefixCache* prefix_cache_ = nullptr;
-  cache::PrefixCache::Lookup pending_;  ///< prepare_prefix → start handoff
+  cache::PrefixCache::Lookup pending_;  ///< prepare_prefix → start_chunked
   bool pending_valid_ = false;
   std::vector<std::size_t> surcharges_;  ///< per-slot prefix-copy reservation
   /// Per slot: prompt tokens not yet prefilled (0 = prefill complete); the
   /// cache's own length() is the resume position within sequences_[slot].
   std::vector<std::size_t> pending_prompt_;
-  std::vector<std::size_t> insert_hints_;  ///< per-slot shared_prefix_tokens
+  /// Per slot: prompt tokens to insert into the prefix cache once prefilled.
+  std::vector<std::size_t> insert_lens_;
   std::vector<float> chunk_logits_;        ///< discarded mid-chunk logits
 };
 
@@ -217,15 +277,20 @@ class GenericBatchDecoder final : public BatchDecoder {
   int vocab_size() const override { return model_->vocab_size(); }
   std::size_t slots() const override { return contexts_.size(); }
   std::size_t max_sequence_length() const override { return 0; }
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override;
   void step(std::span<const Step> steps, lm::Tensor& logits) override;
   void release(std::size_t slot) override;
   std::string name() const override { return "generic-replay"; }
   /// One cached token = one context int.
   std::size_t bytes_per_token() const override { return sizeof(int); }
   void bind_budget(guard::Budget* budget) override { budget_ = budget; }
+  void start_chunked(std::size_t slot, std::span<const int> prompt,
+                     std::uint64_t seed,
+                     std::size_t shared_prefix_tokens = 0) override;
+  /// Replay has no incremental state: a chunk only advances the slot's
+  /// cursor, and the final chunk reseeds the model and runs next_logits
+  /// over the whole prompt — the exact call lm::generate makes.
+  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
+                            std::span<float> out, bool* done) override;
 
  private:
   /// Re-reports slot `slot`'s context bytes after a mutation.
@@ -235,6 +300,7 @@ class GenericBatchDecoder final : public BatchDecoder {
   std::vector<std::vector<int>> contexts_;  // per slot; empty = free
   std::vector<std::uint64_t> seeds_;        // per slot sampling seed
   std::vector<std::size_t> accounted_;      // per slot bytes reported
+  std::vector<std::size_t> pending_prompt_; // per slot tokens not prefilled
   guard::Budget* budget_ = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -107,8 +108,6 @@ Engine::Engine(BatchDecoder& decoder, EngineConfig config)
   LMPEEL_CHECK_MSG(config_.max_batch > 0, "max_batch must be >= 1");
   LMPEEL_CHECK_MSG(config_.queue_capacity > 0, "queue_capacity must be >= 1");
   config_.max_batch = std::min(config_.max_batch, decoder_->slots());
-  chunked_ = config_.prefill_chunk_tokens > 0 &&
-             decoder_->supports_chunked_prefill();
   if (config_.budget != nullptr) {
     decoder_->bind_budget(config_.budget);
     // Publish the limit alongside guard.reserved_bytes so headroom is
@@ -283,18 +282,25 @@ void Engine::scheduler_loop() {
     }
     // Tick-level exception containment: a throwing decoder (or sampler) must
     // never escape this thread — an escaped exception would std::terminate
-    // the whole process.  admit() and step_active() contain the per-request
-    // and per-batch cases themselves; this catch is the last line of
-    // defence, failing all in-flight work instead of dying.
+    // the whole process.  The stages contain the per-request and per-batch
+    // cases themselves; this catch is the last line of defence, failing
+    // all in-flight work instead of dying.  The prefill stage runs before
+    // admission because admission runs each new request's first chunk: no
+    // prompt advances more than one chunk per tick.
     try {
-      admit(prefill_logits);
       prefill_stage(prefill_logits);
+      admit(prefill_logits);
       if (!active_.empty()) step_active(logits);
     } catch (...) {
       obs::Registry::global().counter("serve.scheduler_tick_error").add();
       fail_all_active(RequestStatus::EngineError);
       obs::FlightRecorder::global().dump("engine_error");
     }
+    const auto backlog = std::count_if(
+        active_.begin(), active_.end(),
+        [](const Active& a) { return a.prefilling; });
+    obs::Registry::global().gauge("serve.prefill_backlog")
+        .set(static_cast<double>(backlog));
   }
 }
 
@@ -433,44 +439,26 @@ void Engine::admit(std::vector<float>& logits_scratch) {
     active.reserved_bytes = cost;
     free_slots_.pop_back();
     // Same sampling stream as lm::generate: Rng(seed, 0x5a3c), model
-    // reseeded via decoder.start before the prefill.
+    // reseeded via decoder.start_chunked before the prefill.
     active.rng = util::Rng(active.request.options.seed, /*stream=*/0x5a3c);
     const double queue_wait_s = seconds_since(active.submitted, now);
     reg.histogram("serve.queue_wait_s").record(queue_wait_s);
     obs::timeline(obs::TimelineKind::Admitted, active.request.trace,
                   queue_wait_s);
 
-    // Prefill + first sample are containment-scoped per request: a decoder
-    // fault here poisons only this slot, so fail this request and keep
-    // admitting.  (The prefill logits are generate()'s first loop
-    // iteration: sampling here pays TTFT at admission, not a batch later.)
-    // A PoolExhausted is load, not a fault: the request is shed, the
-    // engine-error health counter stays untouched.
-    SampleOutcome outcome = SampleOutcome::Continue;
+    // Binding the slot is containment-scoped per request: a decoder fault
+    // here poisons only this slot, so fail this request and keep
+    // admitting.  A PoolExhausted (a prefix copy that cannot get pages) is
+    // load, not a fault: the request is shed, the engine-error health
+    // counter stays untouched.
     try {
-      if (chunked_) {
-        // Two-stage path: bind the slot only; prefill_stage() forwards the
-        // prompt ≤ prefill_chunk_tokens per tick and samples the first
-        // token when it completes.
-        decoder_->start_chunked(active.slot, active.request.prompt,
-                                active.request.options.seed,
-                                active.request.shared_prefix_tokens);
-        active.prefilling = true;
-      } else {
-        {
-          obs::Span span("serve.prefill");
-          decoder_->start(active.slot, active.request.prompt,
-                          active.request.options.seed, logits_scratch,
-                          active.request.shared_prefix_tokens);
-        }
-        obs::timeline(obs::TimelineKind::Prefill, active.request.trace,
-                      static_cast<double>(active.request.prompt.size()));
-        outcome = sample_and_record(active, logits_scratch);
-      }
+      decoder_->start_chunked(active.slot, active.request.prompt,
+                              active.request.options.seed,
+                              active.request.shared_prefix_tokens);
     } catch (...) {
       try {
-        // A wrapper may have thrown before forwarding start(): drop any
-        // prepared-but-unconsumed prefix along with the slot state.
+        // A wrapper may have thrown before forwarding start_chunked():
+        // drop any prepared-but-unconsumed prefix along with the slot.
         decoder_->abandon_prefix();
         decoder_->release(active.slot);
       } catch (...) {
@@ -495,65 +483,63 @@ void Engine::admit(std::vector<float>& logits_scratch) {
       }
       continue;
     }
+    // The first chunk runs now, before the next admission.  With
+    // prefill_chunk_tokens == 0 it is the whole prompt: the prefix cache
+    // insert and the first sample (TTFT) land before the next request's
+    // prefix lookup.
     active_.push_back(std::move(active));
-    if (outcome == SampleOutcome::Finished) {
-      retire(active_.size() - 1, RequestStatus::Ok);
-    } else if (outcome == SampleOutcome::InvalidLogits) {
-      retire(active_.size() - 1, RequestStatus::EngineError);
-    }
+    prefill_next_chunk(active_.size() - 1, logits_scratch);
   }
 }
 
 void Engine::prefill_stage(std::vector<float>& logits_scratch) {
-  if (!chunked_) return;
-  obs::Registry& reg = obs::Registry::global();
-  std::size_t backlog = 0;
   for (std::size_t i = 0; i < active_.size();) {
-    Active& a = active_[i];
-    if (!a.prefilling) {
-      ++i;
-      continue;
-    }
-    obs::TraceScope trace_scope(a.request.trace);
-    bool done = false;
-    std::size_t advanced = 0;
-    try {
-      obs::Span span("serve.prefill_chunk");
-      advanced = decoder_->prefill_chunk(
-          a.slot, config_.prefill_chunk_tokens, logits_scratch, &done);
-    } catch (const mem::PoolExhausted&) {
-      note_shed(a.request.priority, a.request.trace);
-      retire(i, RequestStatus::Shed);
-      continue;
-    } catch (...) {
-      // Same per-request containment as the single-stage prefill: this
-      // slot's state is unknown, the rest of the batch is fine.
-      obs::timeline(obs::TimelineKind::EngineFault, a.request.trace);
-      obs::FlightRecorder::global().dump("engine_error");
-      retire(i, RequestStatus::EngineError);
-      continue;
-    }
-    reg.counter("serve.prefill_stage.chunks").add();
-    reg.counter("serve.prefill_stage.tokens").add(advanced);
-    obs::timeline(obs::TimelineKind::PrefillChunk, a.request.trace,
-                  static_cast<double>(advanced));
-    if (!done) {
-      ++backlog;
-      ++i;
-      continue;
-    }
-    a.prefilling = false;
-    obs::timeline(obs::TimelineKind::Prefill, a.request.trace,
-                  static_cast<double>(a.request.prompt.size()));
-    switch (sample_and_record(a, logits_scratch)) {
-      case SampleOutcome::Continue: ++i; break;
-      case SampleOutcome::Finished: retire(i, RequestStatus::Ok); break;
-      case SampleOutcome::InvalidLogits:
-        retire(i, RequestStatus::EngineError);
-        break;
-    }
+    if (!active_[i].prefilling || prefill_next_chunk(i, logits_scratch)) ++i;
   }
-  reg.gauge("serve.prefill_backlog").set(static_cast<double>(backlog));
+}
+
+bool Engine::prefill_next_chunk(std::size_t index,
+                                std::vector<float>& logits_scratch) {
+  obs::Registry& reg = obs::Registry::global();
+  Active& a = active_[index];
+  obs::TraceScope trace_scope(a.request.trace);
+  const std::size_t max_tokens = config_.prefill_chunk_tokens > 0
+                                     ? config_.prefill_chunk_tokens
+                                     : a.request.prompt.size();
+  bool done = false;
+  std::size_t advanced = 0;
+  try {
+    obs::Span span("serve.prefill_chunk");
+    advanced = decoder_->prefill_chunk(a.slot, max_tokens, logits_scratch,
+                                       &done);
+  } catch (const mem::PoolExhausted&) {
+    note_shed(a.request.priority, a.request.trace);
+    retire(index, RequestStatus::Shed);
+    return false;
+  } catch (...) {
+    // This slot's state is unknown; the rest of the batch is fine.
+    obs::timeline(obs::TimelineKind::EngineFault, a.request.trace);
+    obs::FlightRecorder::global().dump("engine_error");
+    retire(index, RequestStatus::EngineError);
+    return false;
+  }
+  reg.counter("serve.prefill_stage.chunks").add();
+  reg.counter("serve.prefill_stage.tokens").add(advanced);
+  obs::timeline(obs::TimelineKind::PrefillChunk, a.request.trace,
+                static_cast<double>(advanced));
+  if (!done) return true;
+  a.prefilling = false;
+  obs::timeline(obs::TimelineKind::Prefill, a.request.trace,
+                static_cast<double>(a.request.prompt.size()));
+  // The prefill logits are generate()'s first loop iteration.
+  switch (sample_and_record(a, logits_scratch)) {
+    case SampleOutcome::Continue: return true;
+    case SampleOutcome::Finished: retire(index, RequestStatus::Ok); break;
+    case SampleOutcome::InvalidLogits:
+      retire(index, RequestStatus::EngineError);
+      break;
+  }
+  return false;
 }
 
 void Engine::step_active(lm::Tensor& logits) {
@@ -686,7 +672,7 @@ void Engine::retire(std::size_t index, RequestStatus status) {
   active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
   // release() is cleanup on a decoder that may have just faulted; a throw
   // here must not escape mid-containment.  The slot is reused either way —
-  // both decoders rebuild slot state from scratch in start().
+  // both decoders rebuild slot state from scratch in start_chunked().
   try {
     decoder_->release(active.slot);
   } catch (...) {

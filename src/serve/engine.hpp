@@ -3,11 +3,13 @@
 // One scheduler thread owns the decoder.  Clients submit Requests from any
 // thread and get a std::future<ServeResult>.  Each scheduler iteration:
 //
-//   1. admission — pop queued requests into free decoder slots (prefill +
-//      first sampled token, so TTFT is paid at admission);
-//   2. batched step — advance every active sequence one token in a single
-//      decoder.step call;
-//   3. retire — finished / cancelled / expired sequences release their slot
+//   1. prefill — requests still prefilling advance one prompt chunk;
+//   2. admission — pop queued requests into free decoder slots and run
+//      each one's first chunk (at prefill_chunk_tokens == 0, the whole
+//      prompt and the first sampled token, so TTFT is paid at admission);
+//   3. batched step — advance every fully prefilled sequence one token in
+//      a single decoder.step call;
+//   4. retire — finished / cancelled / expired sequences release their slot
 //      and fulfil their promise; freed slots are refilled at the next
 //      admission pass.
 //
@@ -66,12 +68,12 @@ struct EngineConfig {
   /// Normal/High request that has already waited longer than this is shed
   /// rather than parked again — bounded staleness beats unbounded waits.
   double queue_slo_s = 0.0;
-  /// Chunked-prefill budget per scheduler tick (DESIGN.md §14).  When > 0
-  /// and the decoder supports_chunked_prefill(), admission binds the slot
-  /// without forwarding the prompt and a separate prefill stage advances
-  /// each prefilling request ≤ this many tokens per tick — so one long
-  /// prompt cannot stall the decode stage and short-request TTFT stays
-  /// bounded.  0 = legacy single-stage (prefill entirely at admission).
+  /// Prompt tokens each prefilling request advances per scheduler tick
+  /// (DESIGN.md §14).  Admission runs a request's first chunk; the prefill
+  /// stage runs the rest, one per tick — so one long prompt cannot stall
+  /// the decode stage and short-request TTFT stays bounded.  0 = the whole
+  /// prompt: admission prefills it, inserts it into the prefix cache and
+  /// samples the first token before the next request's prefix lookup.
   std::size_t prefill_chunk_tokens = 32;
 };
 
@@ -135,9 +137,9 @@ class Engine final : public Client {
     lm::Generation generation;
     double ttft_s = 0.0;
     int last_token = -1;  ///< token to feed the next decoder step
-    /// True while the prompt is still being chunk-prefilled: the request
+    /// True while the prompt is still being prefilled: the request
     /// occupies its slot but is skipped by the decode stage.
-    bool prefilling = false;
+    bool prefilling = true;
   };
 
   /// Outcome of feeding one logits row through the sampler.
@@ -148,15 +150,18 @@ class Engine final : public Client {
   };
 
   void scheduler_loop();
-  /// Fills free slots from the queue; returns false if there is neither
-  /// active nor queued work and the engine should block for submits.
+  /// Fills free slots from the queue, running each admitted request's
+  /// first prefill chunk.
   void admit(std::vector<float>& logits_scratch);
-  /// Two-stage scheduling, stage 1: advances every prefilling request by up
-  /// to prefill_chunk_tokens prompt tokens; requests whose prompt completes
-  /// sample their first token (TTFT) and join the decode stage.
+  /// Advances every request still prefilling by one chunk.
   void prefill_stage(std::vector<float>& logits_scratch);
-  /// One batched decode step over every active sequence (stage 2: requests
-  /// still prefilling are skipped).
+  /// Runs active_[index]'s next prefill chunk, shedding the request on
+  /// PoolExhausted and failing it on any other throw; once the prompt
+  /// completes, samples its first token.  False when the request retired.
+  bool prefill_next_chunk(std::size_t index,
+                          std::vector<float>& logits_scratch);
+  /// One batched decode step over every active sequence (requests still
+  /// prefilling are skipped).
   void step_active(lm::Tensor& logits);
   /// Samples from `logits` exactly as lm::generate does and appends to the
   /// active sequence (plus a trace step if the request opted in).
@@ -193,7 +198,6 @@ class Engine final : public Client {
 
   BatchDecoder* decoder_;
   EngineConfig config_;
-  bool chunked_ = false;  ///< two-stage scheduling resolved at construction
   std::atomic<std::uint64_t> engine_errors_{0};
 
   std::mutex shutdown_mutex_;  // serialises shutdown()/join

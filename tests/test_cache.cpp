@@ -414,6 +414,39 @@ TEST(ServePrefixCache, CacheOnAndOffGenerateIdenticalTokens) {
   EXPECT_GT(counter_value("cache.prefix.saved_prefill_tokens"), saved0);
 }
 
+// prefill_chunk_tokens == 0 admits each request with its whole prompt:
+// the first request's prefix is in the cache before the second, submitted
+// right behind it into the other free slot, looks it up.  serve-bench
+// `shard` reads its hit rate off this ordering.
+TEST(ServePrefixCache, WholePromptAdmissionInsertsBeforeTheNextLookup) {
+  lm::TransformerLm model(tiny_config(), /*seed=*/17);
+  const std::vector<int> shared{2, 7, 1, 8, 2, 8, 1, 8, 2, 8};
+  serve::TransformerBatchDecoder decoder(model, /*slots=*/2);
+  PrefixCache prefix_cache(model, {});
+  decoder.set_prefix_cache(&prefix_cache);
+  serve::EngineConfig config;
+  config.max_batch = 2;
+  config.prefill_chunk_tokens = 0;
+  serve::Engine engine(decoder, config);
+  std::vector<serve::Request> requests(2);
+  for (int r = 0; r < 2; ++r) {
+    requests[r].prompt = shared;
+    requests[r].prompt.push_back(12 + r);
+    requests[r].shared_prefix_tokens = shared.size();
+    requests[r].options.max_tokens = 4;
+  }
+
+  const std::uint64_t hits0 = counter_value("cache.prefix.hits");
+  const std::uint64_t saved0 =
+      counter_value("cache.prefix.saved_prefill_tokens");
+  for (const auto& result : serve::generate_all(engine, requests)) {
+    EXPECT_EQ(result.status, serve::RequestStatus::Ok);
+  }
+  EXPECT_EQ(counter_value("cache.prefix.hits") - hits0, 1u);
+  EXPECT_EQ(counter_value("cache.prefix.saved_prefill_tokens") - saved0,
+            shared.size());
+}
+
 TEST(ServePrefixCache, ShedCacheReportsFreedBytes) {
   lm::TransformerLm model(tiny_config(), /*seed=*/13);
   serve::TransformerBatchDecoder decoder(model, /*slots=*/1);

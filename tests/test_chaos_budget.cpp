@@ -29,9 +29,10 @@ TEST(ChaosBudget, ShedsUnderMemoryPressureInsteadOfDying) {
   options.seed = 7;
   options.requests = 32;
   options.wedge_s = 0.1;
-  // Roughly two requests' worth at 512 bytes/token — far under what 32
+  // Roughly two requests' worth (≤ 19 tokens at 512 bytes/token plus two
+  // 16-token pages of paging slack, ~27 KB each) — far under what 32
   // queued requests demand, so the shed path runs for real.
-  options.budget_bytes = 20000;
+  options.budget_bytes = 54000;
   options.queue_slo_s = 0.05;
 
   serve::TransformerBatchDecoder decoder(model, options.max_batch);

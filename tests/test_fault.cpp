@@ -132,12 +132,15 @@ TEST(FaultInjector, CountsOpsAndInjections) {
 // Containment harness: one fault class at a known op against a single
 // request, then a clean request through the same engine that must match
 // direct lm::generate token for token.  Op numbering for one request at a
-// time: op 0 = prefill, op k = k-th decode step.
+// time: op 0 = admission (start_chunked; prefill chunks consume no op),
+// op k = k-th decode step.
 class FaultContainment : public ::testing::Test {
  protected:
   void serve_and_expect(const fault::FaultPlan& plan,
                         serve::RequestStatus expected_first,
-                        double step_budget_s = 0.0) {
+                        double step_budget_s = 0.0,
+                        std::size_t prefill_chunk_tokens = 32,
+                        const std::vector<int>& prompt = {5, 9, 14}) {
     obs::Registry::global().reset();
     lm::TransformerLm model(tiny_config(), 21);
     serve::TransformerBatchDecoder inner(model, 2);
@@ -145,9 +148,9 @@ class FaultContainment : public ::testing::Test {
     serve::EngineConfig config;
     config.max_batch = 2;
     config.step_budget_s = step_budget_s;
+    config.prefill_chunk_tokens = prefill_chunk_tokens;
     serve::Engine engine(decoder, config);
 
-    const std::vector<int> prompt = {5, 9, 14};
     auto first = serve::generate_sync(engine, prompt,
                                       greedy_request(prompt, 6).options);
     EXPECT_EQ(first.status, expected_first);
@@ -207,6 +210,42 @@ TEST_F(FaultContainment, WatchdogFailsStepsOverTheLatencyBudget) {
       /*step_budget_s=*/0.02);
   EXPECT_GT(obs::Registry::global().counter("serve.step_overrun").value(),
             0u);
+}
+
+// A 10-token prompt in 4-token chunks: three chunks per request, and the
+// faults scheduled for a request's admission still hit only that request.
+const std::vector<int> kTenTokenPrompt = {5, 9, 14, 3, 27, 8, 41, 16, 22, 6};
+
+TEST_F(FaultContainment, NanOnAMultiChunkPrefillPoisonsItsFinalChunk) {
+  serve_and_expect(fault::FaultPlan::from_events(
+                       {event_at(0, fault::FaultKind::NanLogits)}),
+                   serve::RequestStatus::EngineError, /*step_budget_s=*/0.0,
+                   /*prefill_chunk_tokens=*/4, kTenTokenPrompt);
+  EXPECT_EQ(obs::Registry::global().counter("serve.logits_invalid").value(),
+            1u);
+  // Both requests prefilled in full.
+  EXPECT_EQ(obs::Registry::global().counter("serve.prefill_stage.chunks")
+                .value(), 6u);
+}
+
+TEST_F(FaultContainment, ThrowOnAMultiChunkAdmissionFailsOnlyThatRequest) {
+  serve_and_expect(fault::FaultPlan::from_events(
+                       {event_at(0, fault::FaultKind::StepThrow)}),
+                   serve::RequestStatus::EngineError, /*step_budget_s=*/0.0,
+                   /*prefill_chunk_tokens=*/4, kTenTokenPrompt);
+  // Only the clean request prefilled.
+  EXPECT_EQ(obs::Registry::global().counter("serve.prefill_stage.chunks")
+                .value(), 3u);
+}
+
+// Budgeted engines price each request with the decoder's cost slack; the
+// wrapper must report the paged decoder's, not the zero default.
+TEST(FaultyDecoder, ReportsThePagedInnerDecodersCostSlack) {
+  lm::TransformerLm model(tiny_config(), 21);
+  serve::TransformerBatchDecoder inner(model, 2);
+  const fault::FaultyDecoder decoder(inner, fault::FaultPlan{});
+  EXPECT_GT(inner.cost_slack_bytes(), 0u);
+  EXPECT_EQ(decoder.cost_slack_bytes(), inner.cost_slack_bytes());
 }
 
 TEST(RetryClient, BackoffMathIsDeterministicAndBounded) {

@@ -214,9 +214,10 @@ TEST(EngineShed, HighEvictsInFlightBatchWorkToFit) {
   fault::FaultyDecoder decoder(inner,
                                fault::FaultPlan::from_events({wedge}));
 
-  // Budget fits the big Batch request alone (cost 22736 for 3+40 tokens at
-  // 512 bytes/token + scratch slack) but not Batch + High together.
-  guard::Budget budget(23000);
+  // Budget fits the big Batch request alone (cost 39120: 3+40 tokens at
+  // 512 bytes/token, scratch slack, and two 16-token pages of paging
+  // slack) but not Batch + High (cost 19664) together.
+  guard::Budget budget(40000);
   serve::EngineConfig config;
   config.max_batch = 2;
   config.budget = &budget;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -158,16 +159,25 @@ class GateDecoder final : public BatchDecoder {
  public:
   explicit GateDecoder(std::size_t slots, bool start_open = false,
                        std::chrono::milliseconds step_delay = {})
-      : slots_(slots), open_(start_open), step_delay_(step_delay) {}
+      : slots_(slots), pending_(slots, 0), open_(start_open),
+        step_delay_(step_delay) {}
 
   int vocab_size() const override { return 10; }
   std::size_t slots() const override { return slots_; }
   std::size_t max_sequence_length() const override { return 0; }
 
-  void start(std::size_t, std::span<const int>, std::uint64_t,
-             std::span<float> out, std::size_t = 0) override {
+  void start_chunked(std::size_t slot, std::span<const int> prompt,
+                     std::uint64_t, std::size_t = 0) override {
+    pending_[slot] = prompt.size();
     starts_.fetch_add(1);
-    fill(out);
+  }
+  std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
+                            std::span<float> out, bool* done) override {
+    const std::size_t take = std::min(max_tokens, pending_[slot]);
+    pending_[slot] -= take;
+    *done = pending_[slot] == 0;
+    if (*done) fill(out);
+    return take;
   }
   void step(std::span<const Step> steps, lm::Tensor& logits) override {
     wait_open();
@@ -212,6 +222,7 @@ class GateDecoder final : public BatchDecoder {
   }
 
   std::size_t slots_;
+  std::vector<std::size_t> pending_;  ///< per slot prompt tokens to prefill
   std::mutex mutex_;
   std::condition_variable cv_;
   bool open_;
@@ -332,8 +343,9 @@ TEST(ServeEngine, ShutdownDrainsInFlightAndFailsQueued) {
 }
 
 TEST(ServeEngine, GenericDecoderServesInterleavedSeedsDeterministically) {
-  // The replay decoder reseeds per request, so two engines with different
-  // batch settings must produce identical results for the same requests.
+  // The replay decoder reseeds per request, so engines with different
+  // batch settings and prefill chunk sizes must all reproduce serial
+  // lm::generate for the same requests.
   lm::TransformerLm model(tiny_config(), 9);
   const auto prompts = ragged_prompts(4);
   lm::GenerateOptions options;
@@ -341,29 +353,38 @@ TEST(ServeEngine, GenericDecoderServesInterleavedSeedsDeterministically) {
   options.max_tokens = 8;
   options.record_trace = true;
 
-  const auto run = [&](std::size_t max_batch) {
-    GenericBatchDecoder decoder(model, max_batch);
-    EngineConfig config;
-    config.max_batch = max_batch;
-    Engine engine(decoder, config);
-    std::vector<Request> requests;
-    for (std::size_t r = 0; r < prompts.size(); ++r) {
-      Request request;
-      request.prompt = prompts[r];
-      request.options = options;
-      request.options.seed = 100 + r;
-      requests.push_back(std::move(request));
-    }
-    return generate_all(engine, std::move(requests));
-  };
+  std::vector<Request> requests;
+  std::vector<lm::Generation> expected;
+  for (std::size_t r = 0; r < prompts.size(); ++r) {
+    Request request;
+    request.prompt = prompts[r];
+    request.options = options;
+    request.options.seed = 100 + r;
+    expected.push_back(lm::generate(model, prompts[r], request.options));
+    requests.push_back(std::move(request));
+  }
 
-  const auto serial = run(1);
-  const auto batched = run(4);
-  ASSERT_EQ(serial.size(), batched.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r].status, RequestStatus::Ok);
-    ASSERT_EQ(batched[r].status, RequestStatus::Ok);
-    expect_same_generation(serial[r].generation, batched[r].generation, r);
+  obs::Registry& reg = obs::Registry::global();
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + " max_batch " +
+                   std::to_string(max_batch));
+      reg.reset();
+      GenericBatchDecoder decoder(model, max_batch);
+      EngineConfig config;
+      config.max_batch = max_batch;
+      config.prefill_chunk_tokens = chunk;
+      Engine engine(decoder, config);
+      const auto results = generate_all(engine, requests);
+      ASSERT_EQ(results.size(), expected.size());
+      for (std::size_t r = 0; r < results.size(); ++r) {
+        ASSERT_EQ(results[r].status, RequestStatus::Ok);
+        expect_same_generation(expected[r], results[r].generation, r);
+      }
+      // 0 is one chunk per request; 4 splits the 5- and 6-token prompts.
+      EXPECT_EQ(reg.counter("serve.prefill_stage.chunks").value(),
+                requests.size() + (chunk == 0 ? 0 : 2));
+    }
   }
 }
 

@@ -124,42 +124,16 @@ TEST(ServeShutdown, ConcurrentDoubleShutdownFromManyThreads) {
 /// Forwards to a real TransformerBatchDecoder but makes every prefill chunk
 /// slow and observable, so a test can catch the engine with a request that
 /// is admitted to a slot yet still mid-prefill.
-class SlowChunkDecoder final : public BatchDecoder {
+class SlowChunkDecoder final : public ForwardingDecoder {
  public:
-  explicit SlowChunkDecoder(TransformerBatchDecoder& inner) : inner_(&inner) {}
+  explicit SlowChunkDecoder(BatchDecoder& inner) : ForwardingDecoder(inner) {}
 
-  int vocab_size() const override { return inner_->vocab_size(); }
-  std::size_t slots() const override { return inner_->slots(); }
-  std::size_t max_sequence_length() const override {
-    return inner_->max_sequence_length();
-  }
-  void start(std::size_t slot, std::span<const int> prompt,
-             std::uint64_t seed, std::span<float> out,
-             std::size_t shared_prefix_tokens = 0) override {
-    inner_->start(slot, prompt, seed, out, shared_prefix_tokens);
-  }
-  void step(std::span<const Step> steps, lm::Tensor& logits) override {
-    inner_->step(steps, logits);
-  }
-  void release(std::size_t slot) override { inner_->release(slot); }
   std::string name() const override { return "slow-chunk"; }
-  std::size_t bytes_per_token() const override {
-    return inner_->bytes_per_token();
-  }
-  void bind_budget(guard::Budget* budget) override {
-    inner_->bind_budget(budget);
-  }
-  bool supports_chunked_prefill() const override { return true; }
-  void start_chunked(std::size_t slot, std::span<const int> prompt,
-                     std::uint64_t seed,
-                     std::size_t shared_prefix_tokens = 0) override {
-    inner_->start_chunked(slot, prompt, seed, shared_prefix_tokens);
-  }
   std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
                             std::span<float> out, bool* done) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     const std::size_t advanced =
-        inner_->prefill_chunk(slot, max_tokens, out, done);
+        inner().prefill_chunk(slot, max_tokens, out, done);
     chunks_.fetch_add(1);
     return advanced;
   }
@@ -167,7 +141,6 @@ class SlowChunkDecoder final : public BatchDecoder {
   std::size_t chunks() const { return chunks_.load(); }
 
  private:
-  TransformerBatchDecoder* inner_;
   std::atomic<std::size_t> chunks_{0};
 };
 

@@ -13,9 +13,9 @@
 //                                                load-test the serve engine;
 //                                                `prefix` measures shared-prefix
 //                                                KV reuse cache-on vs cache-off,
-//                                                `mixed` long+short traffic on
-//                                                the two-stage scheduler vs
-//                                                the single-stage baseline,
+//                                                `mixed` long+short traffic in
+//                                                32-token prefill chunks vs
+//                                                whole-prompt admission,
 //                                                `recover` kills and revives a
 //                                                replica and gates post-revive
 //                                                decode throughput
@@ -134,6 +134,10 @@ std::optional<perf::SizeClass> parse_size(const std::string& text) {
   return std::nullopt;
 }
 
+/// Engines over a GenericBatchDecoder admit whole prompts: a replay
+/// prefill is one next_logits call, so chunks would only add ticks.
+constexpr serve::EngineConfig kReplayEngine{.prefill_chunk_tokens = 0};
+
 int cmd_dataset(int argc, char** argv) {
   if (argc < 1) return usage();
   const auto size = parse_size(argv[0]);
@@ -250,7 +254,7 @@ int cmd_tune(int argc, char** argv) {
     }
     decoder = std::make_unique<serve::GenericBatchDecoder>(pipeline.model(),
                                                            /*slots=*/8);
-    engine = std::make_unique<serve::Engine>(*decoder);
+    engine = std::make_unique<serve::Engine>(*decoder, kReplayEngine);
     options.engine = engine.get();
     tuner = std::make_unique<tune::LlamboTuner>(
         pipeline.model(), pipeline.tokenizer(), *size, options);
@@ -355,7 +359,7 @@ int cmd_stats(int argc, char** argv) {
     fault_nan.kind = fault::FaultKind::NanLogits;
     fault::FaultyDecoder faulty(
         inner, fault::FaultPlan::from_events({fault_throw, fault_nan}));
-    serve::Engine engine(faulty);
+    serve::Engine engine(faulty, kReplayEngine);
     // Breaker over the retry client: the two injected failures trip it
     // (threshold 2), the sub-millisecond cooldown elapses inside the
     // client's own backoff sleep, and the successful third attempt is the
@@ -386,7 +390,7 @@ int cmd_stats(int argc, char** argv) {
     {
       guard::Budget tiny_budget(64);
       serve::GenericBatchDecoder shed_inner(pipeline.model(), /*slots=*/2);
-      serve::EngineConfig shed_config;
+      serve::EngineConfig shed_config = kReplayEngine;
       shed_config.budget = &tiny_budget;
       serve::Engine shed_engine(shed_inner, shed_config);
       serve::Request shed_request;
@@ -412,7 +416,7 @@ int cmd_stats(int argc, char** argv) {
     throw_always.p_delay = 0.0;
     fault::FaultyDecoder broken(
         inner, fault::FaultPlan::from_seed(seed, throw_always));
-    serve::Engine broken_engine(broken);
+    serve::Engine broken_engine(broken, kReplayEngine);
     tune::LlamboOptions llambo_options;
     llambo_options.mode = tune::LlamboMode::CandidateSampling;
     llambo_options.engine = &broken_engine;

@@ -22,12 +22,12 @@
 // so cache-on hits are zero-copy page shares — the run asserts that pure
 // hits copied zero KV bytes.
 //
-// The `mixed` workload contrasts the two-stage scheduler against the
-// single-stage baseline (DESIGN.md §14), both on a paged pool, under
-// antagonistic traffic: a few clients stream long-prompt requests while
-// many stream short ones.  Single-stage admission prefills a long prompt
-// in one gulp, stalling every short request behind it; chunked prefill
-// bounds that stall.  Rows merge as serve_bench/mixed_{paged,single_stage}
+// The `mixed` workload contrasts 32-token prefill chunks (the two-stage
+// row) against whole-prompt admission (the single-stage row, DESIGN.md
+// §14), both on a paged pool, under antagonistic traffic: a few clients
+// stream long-prompt requests while many stream short ones.  Whole-prompt
+// admission prefills a long prompt in one gulp, stalling every short
+// request behind it; chunked prefill bounds that stall.  Rows merge as serve_bench/mixed_{paged,single_stage}
 // with short-request TTFT percentiles and decode tokens/sec; generated
 // tokens are checked bit-identical between the two schedulers.
 //
@@ -240,8 +240,9 @@ PrefixCellResult run_prefix_cell(lm::TransformerLm& model, bool cache_on,
   serve::EngineConfig config;
   config.max_batch = kBatch;
   config.queue_capacity = std::max<std::size_t>(64, requests);
-  // Single-stage prefill: chunking would interleave the whole first batch
-  // before any insert lands, turning one cold miss into kBatch of them.
+  // Whole-prompt admission: chunking would interleave the whole first
+  // batch before any insert lands, turning one cold miss into kBatch of
+  // them.
   // This cell isolates the cache effect; `mixed` measures the scheduler.
   config.prefill_chunk_tokens = 0;
   serve::Engine engine(decoder, config);
@@ -409,7 +410,7 @@ struct MixedResult {
   double long_ttft_p50_ms = 0.0;
   std::uint64_t prefill_chunks = 0;  ///< serve.prefill_stage.chunks
   /// Per-request token ids, shorts then longs — must be bit-identical
-  /// between the chunked and single-stage variants.
+  /// between the chunked and whole-prompt variants.
   std::vector<std::vector<int>> generated;
 };
 
@@ -429,8 +430,8 @@ MixedResult run_mixed_cell(lm::TransformerLm& model, bool chunked,
   serve::EngineConfig config;
   config.max_batch = kBatch;
   config.queue_capacity = std::max<std::size_t>(64, shorts + longs);
-  // The contrast under test: chunked two-stage scheduling vs legacy
-  // prefill-at-admission.  32-token slices keep each tick's prefill work
+  // The contrast under test: 32-token prefill chunks vs whole-prompt
+  // admission.  32-token slices keep each tick's prefill work
   // an order of magnitude below a whole long prompt.
   config.prefill_chunk_tokens = chunked ? 32 : 0;
   serve::Engine engine(decoder, config);
@@ -441,8 +442,8 @@ MixedResult run_mixed_cell(lm::TransformerLm& model, bool chunked,
   std::vector<double> long_ttft_ms(longs);
   // 4 short-traffic clients and 2 long-traffic ones: the longs keep at
   // least one fat prefill in flight for most of the run, which is exactly
-  // the antagonist short-request TTFT suffers under single-stage
-  // scheduling.
+  // the antagonist short-request TTFT suffers under whole-prompt
+  // admission.
   util::ThreadPool clients(6);
   util::Stopwatch wall;
   std::vector<std::future<void>> futures;
@@ -600,8 +601,8 @@ ShardCellResult run_shard_cell(const lm::TransformerConfig& model_config,
     serve::EngineConfig config;
     config.max_batch = kBatch;
     config.queue_capacity = std::max<std::size_t>(64, requests);
-    // Single-stage prefill: admission inserts the prefix before the next
-    // request's lookup, so the hit-rate column measures affinity, not
+    // Whole-prompt admission inserts the prefix before the next request's
+    // lookup, so the hit-rate column measures affinity, not
     // chunking interleave.
     config.prefill_chunk_tokens = 0;
     stack.engine = std::make_unique<serve::Engine>(*stack.decoder, config);
