@@ -1,15 +1,17 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// GBT training, syr2k model evaluation, dataset generation, trace-step
-// construction and haystack enumeration.  These validate that the
-// HPC-parallel substrate is fast enough for the paper-scale sweeps and
-// catch performance regressions.
+// the tied output head, temperature sampling, GBT training, syr2k model
+// evaluation, dataset generation, trace-step construction and haystack
+// enumeration.  These validate that the HPC-parallel substrate is fast
+// enough for the paper-scale sweeps and catch performance regressions.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
 #include "haystack/decoding_set.hpp"
 #include "lm/generate.hpp"
+#include "lm/sampler.hpp"
+#include "lm/tensor.hpp"
 #include "lm/trace.hpp"
 #include "lm/transformer.hpp"
 #include "perf/dataset.hpp"
@@ -79,6 +81,40 @@ void BM_TransformerForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransformerForward)->Arg(32)->Arg(128);
+
+// The f32 weight-tied output head (lm::matmul_transposed_b) at the
+// serving shape — vocab 1761, d_model 128 — over 1, 8 or 32 rows: the
+// per-step cost of the head in prefill (1 row) and batched decode.
+void BM_TiedHead(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kVocab = 1761, kDModel = 128;
+  util::Rng rng(5);
+  lm::Tensor f(rows, kDModel), tok_emb(kVocab, kDModel), logits(rows, kVocab);
+  f.randomize(rng, 1.0f);
+  tok_emb.randomize(rng, 0.02f);
+  for (auto _ : state) {
+    lm::matmul_transposed_b(f, tok_emb, logits);
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * rows * kVocab * kDModel));
+}
+BENCHMARK(BM_TiedHead)->Arg(1)->Arg(8)->Arg(32);
+
+// One temperature-0.8 draw over a full-vocabulary logit row, the per-token
+// sampling cost of a sampled (non-greedy) request.
+void BM_SampleT08(benchmark::State& state) {
+  std::vector<float> logits(1761);
+  util::Rng rng(9);
+  for (float& l : logits) l = static_cast<float>(rng.normal(0.0, 2.0));
+  const lm::SamplerConfig config{0.8, 0, 1.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lm::sample(logits, config, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SampleT08);
 
 void BM_GbtFit(benchmark::State& state) {
   auto& pipeline = shared_pipeline();

@@ -51,18 +51,6 @@ namespace lmpeel::lm {
   }
 }
 
-[[gnu::noinline]] void tied_head_row(const Tensor& tok_emb,
-                                     const float* f_row, int vocab,
-                                     float* out) {
-  const std::size_t d = tok_emb.cols();
-  for (int v = 0; v < vocab; ++v) {
-    const float* e = tok_emb.data() + static_cast<std::size_t>(v) * d;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < d; ++c) acc += f_row[c] * e[c];
-    out[v] = acc;
-  }
-}
-
 [[gnu::noinline]] void embed_row(const Tensor& tok_emb, const Tensor& pos_emb,
                                  int id, std::size_t pos, float* row) {
   const std::size_t d = tok_emb.cols();

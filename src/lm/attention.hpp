@@ -1,13 +1,15 @@
-// Shared per-row decode kernels (attention, tied head, embedding).
+// Shared per-row decode kernels (attention, embedding).
 //
-// These are the three kernels both forward() and decode_batch() — and, since
+// These are the two kernels both forward() and decode_batch() — and, since
 // DESIGN.md §17, the quantized backend — execute per position.  All paths
 // must produce bit-identical floats for the same sequence (the serve
 // engine's batched-vs-sequential equivalence guarantee, and the quantized
 // backend's "KV rows are exact f32 attention" property), which holds only
 // if they execute the *same* machine code — hence noinline definitions in
 // one TU compiled without per-file SIMD flags, so no call site gets its own
-// differently-contracted inlined copy.
+// differently-contracted inlined copy.  The f32 tied head is not here: it
+// is lm::matmul_transposed_b, whose every output is the serial dot product
+// whatever the row count, so one call serves a single row or a batch.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +34,6 @@ namespace lmpeel::lm {
                                   std::size_t head_off, std::size_t n,
                                   std::size_t hd, float scale, float* prow,
                                   float* ctx);
-
-/// Weight-tied output head for one row: out[v] = f_row · tok_emb[v].
-[[gnu::noinline]] void tied_head_row(const Tensor& tok_emb,
-                                     const float* f_row, int vocab,
-                                     float* out);
 
 /// Token + positional embedding for one row.
 [[gnu::noinline]] void embed_row(const Tensor& tok_emb, const Tensor& pos_emb,

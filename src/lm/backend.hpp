@@ -47,7 +47,8 @@ class KvBackend {
 
   /// Seeds an *empty* cache with the key/value pairs of every position of
   /// `tokens`, returning the logits after the last token in `out`
-  /// (vocab_size() floats): prefill_from() on a cache CHECKed empty.
+  /// (vocab_size() floats, or empty for none): prefill_from() on a cache
+  /// CHECKed empty.
   virtual void prefill(KvCache& cache, std::span<const int> tokens,
                        std::span<float> out) {
     LMPEEL_CHECK_MSG(cache.length() == 0, "prefill requires an empty cache");
@@ -56,7 +57,9 @@ class KvBackend {
 
   /// Extends a cache holding cache.length() positions (possibly none) with
   /// `suffix` (non-empty), returning the logits after the last suffix
-  /// token.
+  /// token in `out` (vocab_size() floats).  An empty `out` means "no
+  /// logits": the K/V rows are appended exactly as with a real `out`, and
+  /// the output head is skipped — for prompt chunks that are not the last.
   virtual void prefill_from(KvCache& cache, std::span<const int> suffix,
                             std::span<float> out) = 0;
 

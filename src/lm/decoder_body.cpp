@@ -108,7 +108,8 @@ void prefill_rows(const WeightOps& ops, const TransformerConfig& config,
                   std::span<float> out) {
   LMPEEL_CHECK_MSG(!suffix.empty(),
                    "prefill_from requires a non-empty suffix");
-  LMPEEL_CHECK(out.size() == static_cast<std::size_t>(config.vocab));
+  LMPEEL_CHECK(out.empty() ||
+               out.size() == static_cast<std::size_t>(config.vocab));
   // Only the suffix is forwarded — the drop in this counter relative to a
   // full prefill is the serve-bench "saved prefill" evidence.
   obs::Registry::global().counter("lm.transformer.forward_tokens")
@@ -116,6 +117,7 @@ void prefill_rows(const WeightOps& ops, const TransformerConfig& config,
   KvCache* const one[] = {&cache};
   Tensor f;
   run_blocks(ops, config, one, suffix.size(), suffix, f);
+  if (out.empty()) return;  // a mid-prompt chunk: K/V rows only
   const auto d = static_cast<std::size_t>(config.d_model);
   Tensor last(1, d);
   std::copy_n(f.data() + (suffix.size() - 1) * d, d, last.data());

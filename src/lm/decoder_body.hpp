@@ -45,7 +45,8 @@ class WeightOps {
 };
 
 /// Extends `cache` (any length, including 0) with `suffix` (non-empty) and
-/// writes the logits after its last token into `out` (vocab floats).  Only
+/// writes the logits after its last token into `out` (vocab floats; empty
+/// skips the head and writes no logits).  Only
 /// the suffix is computed; every kernel is row-independent with fixed
 /// accumulation order, so the result is bit-identical however a sequence
 /// is split into prefill_from calls (DESIGN.md §12).

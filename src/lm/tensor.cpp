@@ -1,6 +1,11 @@
 #include "lm/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #include "util/check.hpp"
 
@@ -101,55 +106,125 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& out) {
   }
 }
 
-void matmul_transposed_b(const Tensor& a, const Tensor& bt, Tensor& out) {
-  LMPEEL_CHECK(a.cols() == bt.cols());
-  LMPEEL_CHECK(out.rows() == a.rows() && out.cols() == bt.rows());
-  const std::size_t m = a.rows(), k = a.cols(), n = bt.rows();
-  constexpr std::size_t kRowBlock = 8;  // rows of a per register tile
-  constexpr std::size_t kPanel = 16;    // rows of bt per packed panel
-  constexpr std::size_t kStrip = 16;    // k-rows per strip
-  const float* ap = a.data();
-  const float* btp = bt.data();
-  float* op = out.data();
-  // The reduction runs along bt's rows, so the vector-friendly layout has
-  // to be manufactured: pack kPanel rows of bt into a [k x kPanel] panel
-  // (reading bt sequentially, writing into an L1-resident buffer), then
-  // run the same register-strip kernel as matmul against the panel.
-  // Per (i, j) the accumulation is c = 0..k-1 ascending either way, so
-  // the result is bit-identical to the naive dot product the tail rows
-  // (and the single-row tied head in the transformer) compute.
-  std::vector<float> panel(k * kPanel);
-  const std::size_t row_main = m - m % kRowBlock;
-  std::size_t j0 = 0;
-  for (; j0 + kPanel <= n; j0 += kPanel) {
-    for (std::size_t l = 0; l < kPanel; ++l) {
-      const float* bt_row = btp + (j0 + l) * k;
-      for (std::size_t c = 0; c < k; ++c) panel[c * kPanel + l] = bt_row[c];
-    }
-    for (std::size_t i0 = 0; i0 < row_main; i0 += kRowBlock) {
-      for (std::size_t r = 0; r < kRowBlock; ++r) {
-        std::fill_n(op + (i0 + r) * n + j0, kPanel, 0.0f);
-      }
-      for (std::size_t k0 = 0; k0 < k; k0 += kStrip) {
-        matmul_strip_tile<kRowBlock, kPanel>(ap, panel.data(), op + j0, k,
-                                             kPanel, n, i0, 0, k0,
-                                             std::min(k0 + kStrip, k));
-      }
+namespace {
+
+// Vector policies for the tied-head kernel below: a lane type, its width,
+// and the four operations it needs.  mul and add stay separate operations
+// (no FMA, and this TU is built with -ffp-contract=off), so every lane
+// rounds exactly as the scalar expression `acc + a * b` does.
+#if defined(__AVX2__)  // also set by -mavx512f
+struct Lanes8 {
+  static constexpr std::size_t kWidth = 8;
+  using V = __m256;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static V mul_add(V acc, V a, float b) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(a, _mm256_set1_ps(b)));
+  }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+};
+#endif
+
+/// Plain C++ lanes: the fallback on any target, and the reference the
+/// intrinsic policy is tested against.
+struct PortableLanes {
+  static constexpr std::size_t kWidth = 8;
+  struct V {
+    float x[kWidth];
+  };
+  static V zero() { return V{}; }
+  static V load(const float* p) {
+    V v;
+    std::copy_n(p, kWidth, v.x);
+    return v;
+  }
+  static V mul_add(V acc, V a, float b) {
+    for (std::size_t l = 0; l < kWidth; ++l) acc.x[l] += a.x[l] * b;
+    return acc;
+  }
+  static void store(float* p, V v) { std::copy_n(v.x, kWidth, p); }
+};
+
+/// Logits of vocab rows [j0, j0 + J) for the `rows` rows whose transposed
+/// activations are in `at` ([k x kWidth], lane r = row r).  The J
+/// accumulators are independent, which hides the add latency.
+template <class L, std::size_t J>
+void head_block(const float* at, const float* bt, std::size_t k,
+                std::size_t j0, std::size_t rows, float* out,
+                std::size_t out_stride) {
+  constexpr std::size_t W = L::kWidth;
+  typename L::V acc[J];
+  for (std::size_t jj = 0; jj < J; ++jj) acc[jj] = L::zero();
+  const float* b = bt + j0 * k;
+  for (std::size_t c = 0; c < k; ++c) {
+    const typename L::V col = L::load(at + c * W);
+    for (std::size_t jj = 0; jj < J; ++jj) {
+      acc[jj] = L::mul_add(acc[jj], col, b[jj * k + c]);
     }
   }
-  // Column tail of the blocked rows, and every column of the tail rows
-  // (also the whole product when m < kRowBlock): plain c-ascending dots.
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = ap + i * k;
-    const std::size_t jlo = i < row_main ? j0 : 0;
-    for (std::size_t j = jlo; j < n; ++j) {
-      const float* bt_row = btp + j * k;
-      float acc = 0.0f;
-      for (std::size_t c = 0; c < k; ++c) acc += a_row[c] * bt_row[c];
-      op[i * n + j] = acc;
+  float tile[J][W];
+  for (std::size_t jj = 0; jj < J; ++jj) L::store(tile[jj], acc[jj]);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t jj = 0; jj < J; ++jj) {
+      out[r * out_stride + j0 + jj] = tile[jj][r];
     }
   }
 }
+
+/// Rows [i0, i0 + rows) of out = a · btᵀ, rows <= L::kWidth.  The rows are
+/// transposed once into `at` (zero-padded lanes are computed and dropped);
+/// bt is then streamed row by row, in place, and every bt(j, c) is
+/// broadcast against column c of the group.  Lane r of vocab row j thus
+/// evaluates ((0 + a(r,0)·bt(j,0)) + a(r,1)·bt(j,1)) + … in c order: the
+/// serial dot product, whichever group and policy the row lands in.
+template <class L>
+void head_rows(const Tensor& a, std::size_t i0, std::size_t rows,
+               const Tensor& bt, Tensor& out, std::vector<float>& at) {
+  constexpr std::size_t W = L::kWidth;
+  constexpr std::size_t kInFlight = 8;  // vocab rows per block
+  const std::size_t k = a.cols(), n = bt.rows();
+  at.assign(k * W, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* a_row = a.data() + (i0 + r) * k;
+    for (std::size_t c = 0; c < k; ++c) at[c * W + r] = a_row[c];
+  }
+  float* out_rows = out.data() + i0 * n;
+  std::size_t j = 0;
+  for (; j + kInFlight <= n; j += kInFlight) {
+    head_block<L, kInFlight>(at.data(), bt.data(), k, j, rows, out_rows, n);
+  }
+  for (; j < n; ++j) {
+    head_block<L, 1>(at.data(), bt.data(), k, j, rows, out_rows, n);
+  }
+}
+
+/// out[M,N] = a[M,K] · btᵀ in groups of L::kWidth rows.
+template <class L>
+void transposed_b_lanes(const Tensor& a, const Tensor& bt, Tensor& out) {
+  LMPEEL_CHECK(a.cols() == bt.cols());
+  LMPEEL_CHECK(out.rows() == a.rows() && out.cols() == bt.rows());
+  std::vector<float> at;
+  for (std::size_t i0 = 0; i0 < a.rows(); i0 += L::kWidth) {
+    head_rows<L>(a, i0, std::min(L::kWidth, a.rows() - i0), bt, out, at);
+  }
+}
+
+}  // namespace
+
+void matmul_transposed_b(const Tensor& a, const Tensor& bt, Tensor& out) {
+#if defined(__AVX2__)
+  transposed_b_lanes<Lanes8>(a, bt, out);
+#else
+  transposed_b_lanes<PortableLanes>(a, bt, out);
+#endif
+}
+
+namespace detail {
+void matmul_transposed_b_portable(const Tensor& a, const Tensor& bt,
+                                  Tensor& out) {
+  transposed_b_lanes<PortableLanes>(a, bt, out);
+}
+}  // namespace detail
 
 void matmul_grad_a(const Tensor& grad, const Tensor& b, Tensor& da) {
   LMPEEL_CHECK(grad.cols() == b.cols());

@@ -1,7 +1,8 @@
 // Minimal dense float tensor + the handful of kernels the transformer
 // needs.  Row-major storage; shapes up to rank 3.  These are deliberately
 // straightforward loops: at d_model <= 128 the working sets live in L1/L2
-// and the compiler vectorises the inner products; no BLAS dependency.
+// and the compiler vectorises the inner products (the tied head carries
+// its own SIMD lanes); no BLAS dependency.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +47,18 @@ class Tensor {
 // out[M,N] = a[M,K] * b[K,N]
 void matmul(const Tensor& a, const Tensor& b, Tensor& out);
 // out[M,N] = a[M,K] * bt^T where bt is [N,K] row-major.  out(i, j)
-// accumulates a(i, c) * bt(j, c) for c ascending — bit-identical to the
-// naive per-element dot product (this is the batched tied-head kernel).
+// accumulates a(i, c) * bt(j, c) for c ascending from 0.0f — bit-identical
+// to the naive per-element dot product for every M.  This is the one
+// weight-tied output head: training forward, next_logits, prefill and
+// batched decode all run it.  SIMD lanes span rows of `a`; bt is read in
+// place, never copied.
 void matmul_transposed_b(const Tensor& a, const Tensor& bt, Tensor& out);
+namespace detail {
+// The plain C++ lane policy of matmul_transposed_b, callable on any build
+// so tests can hold the SIMD path to it.
+void matmul_transposed_b_portable(const Tensor& a, const Tensor& bt,
+                                  Tensor& out);
+}  // namespace detail
 // out[M,K] += grad[M,N] * b^T[N,K]   (dA of matmul)
 void matmul_grad_a(const Tensor& grad, const Tensor& b, Tensor& da);
 // out[K,N] += a^T * grad             (dB of matmul)

@@ -32,9 +32,11 @@ void bias_grad(const Tensor& dy, Tensor& db) {
 }
 
 // The per-row kernels shared between forward(), the inference body and the
-// quantized backend (attend_row / tied_head_row / embed_row) live in
-// lm/attention.cpp — one noinline machine-code copy for every caller, which
-// is what the bit-identity guarantees rest on.
+// quantized backend (attend_row / embed_row) live in lm/attention.cpp — one
+// noinline machine-code copy for every caller, which is what the
+// bit-identity guarantees rest on.  The tied head is matmul_transposed_b
+// (lm/tensor.cpp), whose every output is the serial dot product whatever
+// the row count, so forward(), prefill and decode share it too.
 
 }  // namespace
 
@@ -207,15 +209,19 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
     cache->x_final = x;
     cache->f = f;
     cache->logits = Tensor(t_len, config_.vocab);
-    // logits = f * tok_emb^T (weight tying); bit-identical to
-    // tied_head_row per row, but blocked over rows of f.
+    // logits = f * tok_emb^T (weight tying), every row at once.
     matmul_transposed_b(f, tok_emb_, cache->logits);
   }
   if (!last_logits_out.empty()) {
     LMPEEL_CHECK(last_logits_out.size() ==
                  static_cast<std::size_t>(config_.vocab));
-    tied_head_row(tok_emb_, f.data() + (t_len - 1) * d, config_.vocab,
-                  last_logits_out.data());
+    // The same head kernel over the last row alone: the serial reference
+    // next_logits returns and the batched paths must equal.
+    Tensor last(1, d);
+    std::copy_n(f.data() + (t_len - 1) * d, d, last.data());
+    Tensor logits(1, last_logits_out.size());
+    matmul_transposed_b(last, tok_emb_, logits);
+    std::copy_n(logits.data(), logits.size(), last_logits_out.data());
   }
 }
 
@@ -256,8 +262,8 @@ void TransformerLm::project(std::size_t layer, Proj proj, const Tensor& act,
 }
 
 void TransformerLm::head(const Tensor& f, Tensor& logits) const {
-  // Blocked over rows of f; bit-identical to forward()'s per-row
-  // tied_head_row.
+  // The kernel forward() runs; each row's logits equal its single-row
+  // call bit for bit.
   matmul_transposed_b(f, tok_emb_, logits);
 }
 

@@ -139,13 +139,12 @@ std::size_t TransformerBatchDecoder::prefill_chunk(std::size_t slot,
   const std::size_t take = std::min(max_tokens, pending_prompt_[slot]);
   const std::span<const int> chunk(prompt.data() + base, take);
   const bool final_chunk = take == pending_prompt_[slot];
-  // Mid-prompt logits are never sampled; they go to a scratch buffer.  The
-  // chunk boundary cannot change any float: prefill_from rows only read
-  // K/V of earlier positions, which are identical however the prompt is
-  // sliced (DESIGN.md §12/§14).
-  chunk_logits_.resize(static_cast<std::size_t>(model_->vocab_size()));
+  // Mid-prompt logits are never sampled, so those chunks skip the head
+  // (empty out).  The chunk boundary cannot change any float: prefill_from
+  // rows only read K/V of earlier positions, which are identical however
+  // the prompt is sliced (DESIGN.md §12/§14).
   model_->prefill_from(caches_[slot], chunk,
-                       final_chunk ? out : std::span<float>(chunk_logits_));
+                       final_chunk ? out : std::span<float>());
   pending_prompt_[slot] -= take;
   *done = final_chunk;
   if (final_chunk && prefix_cache_ != nullptr && insert_lens_[slot] > 0) {

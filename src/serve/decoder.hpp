@@ -264,7 +264,6 @@ class TransformerBatchDecoder final : public BatchDecoder {
   std::vector<std::size_t> pending_prompt_;
   /// Per slot: prompt tokens to insert into the prefix cache once prefilled.
   std::vector<std::size_t> insert_lens_;
-  std::vector<float> chunk_logits_;        ///< discarded mid-chunk logits
 };
 
 /// Context-replay decoder for arbitrary LanguageModels.  Each step re-runs

@@ -386,21 +386,37 @@ void Engine::admit(std::vector<float>& logits_scratch) {
              queued.request.trace);
       continue;
     }
+    // Siblings sharing a prefix (a tuner's candidate pool) would each
+    // forward the whole block again if admitted together: while one of
+    // them prefills a prefix the cache does not hold yet, the rest wait
+    // for its insert.  Like a budget park, this holds the queue until the
+    // next tick.
+    if (shared_prefix_in_flight(queued.request)) {
+      std::lock_guard lock(mutex_);
+      queue_.push_front(std::move(queued));
+      reg.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+      return;
+    }
 
     // Per-request work below (prefix pinning, prefill) runs under this
     // request's trace scope so leaf layers — the prefix cache, the
     // transformer — tag their events onto the right lane.
     obs::TraceScope trace_scope(queued.request.trace);
 
+    // Pin the longest cached prefix first; every non-start path below must
+    // abandon it.  (start_chunked() would look it up anyway.)
+    const std::size_t shared = std::min(queued.request.shared_prefix_tokens,
+                                        queued.request.prompt.size() - 1);
+    std::size_t reused = 0;
+    if (config_.budget != nullptr || shared > 0) {
+      reused = decoder_->prepare_prefix(queued.request.prompt);
+    }
+
     // ---- cost-aware admission (DESIGN.md §11/§12) ----------------------
     std::size_t cost = 0;
     if (config_.budget != nullptr) {
-      // Pin the longest cached prefix first: those tokens are covered by
-      // the decoder's surcharge reservation, so the request itself is
-      // priced suffix-only.  Every non-start path below must abandon the
-      // prepared prefix.
-      const std::size_t reused =
-          decoder_->prepare_prefix(queued.request.prompt);
+      // The pinned prefix is covered by the decoder's surcharge
+      // reservation, so the request itself is priced suffix-only.
       cost = estimate_cost(queued.request, reused);
       if (!reserve_with_eviction(cost, queued.request.priority)) {
         decoder_->abandon_prefix();
@@ -437,6 +453,7 @@ void Engine::admit(std::vector<float>& logits_scratch) {
     active.admitted = now;
     active.slot = free_slots_.back();
     active.reserved_bytes = cost;
+    active.inserts_shared_prefix = reused < shared;
     free_slots_.pop_back();
     // Same sampling stream as lm::generate: Rng(seed, 0x5a3c), model
     // reseeded via decoder.start_chunked before the prefill.
@@ -490,6 +507,19 @@ void Engine::admit(std::vector<float>& logits_scratch) {
     active_.push_back(std::move(active));
     prefill_next_chunk(active_.size() - 1, logits_scratch);
   }
+}
+
+bool Engine::shared_prefix_in_flight(const Request& request) const {
+  const std::size_t n = request.shared_prefix_tokens;
+  if (n == 0 || n > request.prompt.size()) return false;
+  const auto shared = request.prompt.begin();
+  return std::any_of(active_.begin(), active_.end(), [&](const Active& a) {
+    return a.prefilling && a.inserts_shared_prefix &&
+           a.request.shared_prefix_tokens >= n &&
+           a.request.prompt.size() >= n &&
+           std::equal(shared, shared + static_cast<std::ptrdiff_t>(n),
+                      a.request.prompt.begin());
+  });
 }
 
 void Engine::prefill_stage(std::vector<float>& logits_scratch) {

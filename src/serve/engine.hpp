@@ -6,7 +6,10 @@
 //   1. prefill — requests still prefilling advance one prompt chunk;
 //   2. admission — pop queued requests into free decoder slots and run
 //      each one's first chunk (at prefill_chunk_tokens == 0, the whole
-//      prompt and the first sampled token, so TTFT is paid at admission);
+//      prompt and the first sampled token, so TTFT is paid at admission).
+//      A request whose shared prefix another slot is still prefilling
+//      waits for that prefill, which inserts the prefix into the prefix
+//      cache: siblings then forward only their own suffix;
 //   3. batched step — advance every fully prefilled sequence one token in
 //      a single decoder.step call;
 //   4. retire — finished / cancelled / expired sequences release their slot
@@ -140,6 +143,9 @@ class Engine final : public Client {
     /// True while the prompt is still being prefilled: the request
     /// occupies its slot but is skipped by the decode stage.
     bool prefilling = true;
+    /// Admitted without its shared prefix cached: the finished prefill
+    /// inserts it, and siblings wait for that (shared_prefix_in_flight).
+    bool inserts_shared_prefix = false;
   };
 
   /// Outcome of feeding one logits row through the sampler.
@@ -153,6 +159,10 @@ class Engine final : public Client {
   /// Fills free slots from the queue, running each admitted request's
   /// first prefill chunk.
   void admit(std::vector<float>& logits_scratch);
+  /// True when an active request is still prefilling a shared prefix
+  /// (Request::shared_prefix_tokens) that covers `request`'s and that its
+  /// finished prefill will insert into the prefix cache.
+  bool shared_prefix_in_flight(const Request& request) const;
   /// Advances every request still prefilling by one chunk.
   void prefill_stage(std::vector<float>& logits_scratch);
   /// Runs active_[index]'s next prefill chunk, shedding the request on

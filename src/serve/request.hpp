@@ -57,9 +57,11 @@ struct Request {
   /// Shared-prefix hint (DESIGN.md §12): the first this-many prompt tokens
   /// are shared with sibling requests (e.g. the LLAMBO ICL block), so the
   /// decoder's prefix cache stores exactly that prefix — inserted once per
-  /// iteration, deduped structurally by the radix tree.  0 = no hint; the
-  /// cache may still auto-insert the whole prompt.  Purely an optimisation
-  /// hint: results are bit-identical with or without it.
+  /// iteration, deduped structurally by the radix tree.  The engine holds
+  /// a request back while a sibling is still prefilling that prefix, so
+  /// the sibling's insert covers it.  0 = no hint; the cache may still
+  /// auto-insert the whole prompt.  Purely an optimisation hint: results
+  /// are bit-identical with or without it.
   std::size_t shared_prefix_tokens = 0;
 };
 

@@ -447,6 +447,52 @@ TEST(ServePrefixCache, WholePromptAdmissionInsertsBeforeTheNextLookup) {
             shared.size());
 }
 
+// Chunked admission: siblings whose shared prefix is still being prefilled
+// wait for that prefill's insert instead of each forwarding the block, so
+// every sibling but the first reuses the whole prefix — with the same
+// tokens as a cache-less engine, which just prefills them in turn.
+TEST(ServePrefixCache, SiblingsWaitForTheSharedPrefixInsert) {
+  lm::TransformerLm model(tiny_config(), /*seed=*/19);
+  std::vector<int> shared;
+  for (int t = 0; t < 20; ++t) shared.push_back(1 + (t * 7) % 30);
+  constexpr std::size_t kSiblings = 4;
+
+  const auto run = [&](bool cache_on) {
+    serve::TransformerBatchDecoder decoder(model, kSiblings);
+    PrefixCache prefix_cache(model, {});
+    if (cache_on) decoder.set_prefix_cache(&prefix_cache);
+    serve::EngineConfig config;
+    config.max_batch = kSiblings;
+    config.prefill_chunk_tokens = 4;  // the prefix takes 5 ticks
+    serve::Engine engine(decoder, config);
+    std::vector<serve::Request> requests(kSiblings);
+    for (std::size_t r = 0; r < kSiblings; ++r) {
+      requests[r].prompt = shared;
+      requests[r].prompt.push_back(static_cast<int>(2 + r));
+      requests[r].prompt.push_back(static_cast<int>(9 + r));
+      requests[r].shared_prefix_tokens = shared.size();
+      requests[r].options.stop_on_eos = false;
+      requests[r].options.max_tokens = 5;
+      requests[r].options.seed = r;
+    }
+    std::vector<std::vector<int>> tokens;
+    for (auto& result : serve::generate_all(engine, std::move(requests))) {
+      EXPECT_EQ(result.status, serve::RequestStatus::Ok);
+      tokens.push_back(std::move(result.generation.tokens));
+    }
+    return tokens;
+  };
+
+  const auto off = run(false);
+  const std::uint64_t hits0 = counter_value("cache.prefix.hits");
+  const std::uint64_t saved0 =
+      counter_value("cache.prefix.saved_prefill_tokens");
+  EXPECT_EQ(run(true), off);
+  EXPECT_EQ(counter_value("cache.prefix.hits") - hits0, kSiblings - 1);
+  EXPECT_EQ(counter_value("cache.prefix.saved_prefill_tokens") - saved0,
+            (kSiblings - 1) * shared.size());
+}
+
 TEST(ServePrefixCache, ShedCacheReportsFreedBytes) {
   lm::TransformerLm model(tiny_config(), /*seed=*/13);
   serve::TransformerBatchDecoder decoder(model, /*slots=*/1);

@@ -11,6 +11,9 @@
 //     kernels + all float pre/post work in one shared TU);
 //   * prefill_from after copy_prefix reproduces a full prefill bit for
 //     bit, so the prefix cache works on the quantized backend unchanged;
+//   * a prefill chunk given no logits buffer appends the same K/V rows
+//     as one given a buffer (f32 and int8), so mid-prompt chunks skip the
+//     output head without changing anything after them;
 //   * the weight-bytes gate from the ISSUE: int8 ≤ 0.55× f32, measured
 //     through guard::Budget accounting rather than assumed;
 //   * the serve engine runs the quantized backend end to end and its
@@ -25,6 +28,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "guard/budget.hpp"
@@ -264,6 +269,46 @@ TEST(QuantizedLm, PrefillFromAfterCopyPrefixMatchesFullPrefill) {
     q.decode_batch(wb, tok, logits_b);
     for (std::size_t v = 0; v < logits_a.cols(); ++v) {
       EXPECT_EQ(logits_a.at(0, v), logits_b.at(0, v));
+    }
+  }
+}
+
+// A prompt chunk that is not the last needs no logits: prefill_from with an
+// empty `out` must append the same K/V rows as with a real one, and the
+// next chunk's logits must not change.  Covers the f32 backend and int8.
+TEST(KvBackend, EmptyOutSkipsOnlyTheHead) {
+  lm::TransformerLm f32(tiny_config(), 31);
+  QuantizedLm int8(f32, WeightFormat::kInt8);
+  const auto d = static_cast<std::size_t>(f32.config().d_model);
+  const auto n_layer = static_cast<std::size_t>(f32.config().n_layer);
+  const std::vector<int> prompt{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
+  const std::size_t split = 7;
+  for (lm::KvBackend* backend : {static_cast<lm::KvBackend*>(&f32),
+                                 static_cast<lm::KvBackend*>(&int8)}) {
+    SCOPED_TRACE(backend->backend_name());
+    const auto vocab = static_cast<std::size_t>(backend->vocab_size());
+    lm::KvCache with_out, without_out;
+    std::vector<float> mid(vocab);
+    backend->prefill_from(with_out, std::span<const int>(prompt).first(split),
+                          mid);
+    backend->prefill_from(without_out,
+                          std::span<const int>(prompt).first(split), {});
+    std::vector<float> want(vocab), got(vocab);
+    backend->prefill_from(with_out,
+                          std::span<const int>(prompt).subspan(split), want);
+    backend->prefill_from(without_out,
+                          std::span<const int>(prompt).subspan(split), got);
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(without_out.length(), prompt.size());
+    for (std::size_t l = 0; l < n_layer; ++l) {
+      for (std::size_t pos = 0; pos < prompt.size(); ++pos) {
+        EXPECT_EQ(std::memcmp(with_out.k_row(l, pos),
+                              without_out.k_row(l, pos), d * sizeof(float)),
+                  0);
+        EXPECT_EQ(std::memcmp(with_out.v_row(l, pos),
+                              without_out.v_row(l, pos), d * sizeof(float)),
+                  0);
+      }
     }
   }
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "lm/language_model.hpp"
@@ -96,6 +100,103 @@ TEST(Sample, HighTemperatureFlattens) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) ones += sample(logits, config, rng);
   EXPECT_NEAR(static_cast<double>(ones) / n, 0.5, 0.02);
+}
+
+// lm::sample as it was when it ordered the support with std::sort: the
+// reference the sort-free implementation must reproduce draw for draw.
+int frozen_sample(std::span<const float> logits, const SamplerConfig& config,
+                  util::Rng& rng) {
+  if (config.temperature <= 0.0) return sample_greedy(logits);
+  struct Entry {
+    int token;
+    double weight;
+  };
+  float hi = kNegInf;
+  for (const float l : logits) hi = std::max(hi, l);
+  std::vector<Entry> entries;
+  for (int i = 0; i < static_cast<int>(logits.size()); ++i) {
+    if (logits[i] == kNegInf) continue;
+    const double scaled =
+        (static_cast<double>(logits[i]) - hi) / config.temperature;
+    entries.push_back({i, std::exp(scaled)});
+  }
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    return a.token < b.token;
+  });
+  if (config.top_k > 0 &&
+      entries.size() > static_cast<std::size_t>(config.top_k)) {
+    entries.resize(config.top_k);
+  }
+  if (config.top_p < 1.0) {
+    double total = 0.0;
+    for (const Entry& e : entries) total += e.weight;
+    double cum = 0.0;
+    std::size_t keep = 0;
+    for (; keep < entries.size(); ++keep) {
+      cum += entries[keep].weight;
+      if (cum >= config.top_p * total) {
+        ++keep;
+        break;
+      }
+    }
+    entries.resize(std::max<std::size_t>(1, keep));
+  }
+  double total = 0.0;
+  for (const Entry& e : entries) total += e.weight;
+  double r = rng.uniform() * total;
+  for (const Entry& e : entries) {
+    r -= e.weight;
+    if (r < 0.0) return e.token;
+  }
+  return entries.back().token;
+}
+
+TEST(Sampler, BitIdenticalToFrozenImplementation) {
+  util::Rng gen(21);
+  std::vector<std::vector<float>> rows;
+  for (const std::size_t vocab : {1u, 2u, 7u, 300u, 1761u}) {
+    std::vector<float> plain(vocab), tied(vocab), masked(vocab),
+        underflow(vocab), near(vocab);
+    for (std::size_t v = 0; v < vocab; ++v) {
+      // Logits one float ulp apart, rising with the token: their weights
+      // differ only in low mantissa bits.
+      near[v] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(1.0f) +
+                                     static_cast<std::uint32_t>(v % 64));
+      plain[v] = static_cast<float>(gen.normal(0.0, 3.0));
+      // Few distinct values: long runs of equal weights.
+      tied[v] = std::round(static_cast<float>(gen.normal(0.0, 1.5)));
+      masked[v] = gen.uniform() < 0.4 ? kNegInf : plain[v];
+      // Far below the max, exp() underflows to exactly 0 at every T here.
+      underflow[v] = gen.uniform() < 0.5 ? -5000.0f + tied[v] : tied[v];
+    }
+    masked[vocab / 2] = 1.0f;  // keep the support non-empty
+    rows.push_back(plain);
+    rows.push_back(tied);
+    rows.push_back(masked);
+    rows.push_back(underflow);
+    rows.push_back(near);
+    rows.push_back(std::vector<float>(vocab, 0.5f));  // every weight equal
+  }
+  const std::pair<int, double> truncations[] = {
+      {0, 1.0}, {5, 1.0}, {0, 0.9}, {50, 0.5}, {3, 0.99}};
+  for (const double temperature : {0.3, 0.8, 1.0, 2.0}) {
+    for (const auto& [top_k, top_p] : truncations) {
+      const SamplerConfig config{temperature, top_k, top_p};
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        util::Rng want_rng(1000 + r), got_rng(1000 + r);
+        for (int i = 0; i < 20; ++i) {
+          const int want = frozen_sample(rows[r], config, want_rng);
+          const int got = sample(rows[r], config, got_rng);
+          ASSERT_EQ(got, want) << "T=" << temperature << " top_k=" << top_k
+                               << " top_p=" << top_p << " row " << r
+                               << " draw " << i;
+        }
+        // Both consumed the RNG stream identically.
+        EXPECT_EQ(got_rng.uniform(), want_rng.uniform());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace lmpeel::lm {
 namespace {
@@ -36,6 +42,68 @@ TEST(Matmul, MatchesHandComputed) {
 TEST(Matmul, ShapeMismatchThrows) {
   Tensor a(2, 3), b(2, 2), out(2, 2);
   EXPECT_THROW(matmul(a, b, out), std::runtime_error);
+}
+
+// The tied head's contract: out(i, j) is the serial dot product
+// ((0 + a(i,0)·bt(j,0)) + a(i,1)·bt(j,1)) + … for every row count, so the
+// batched head equals a single-row head bit for bit.  Computed here with
+// plain scalar code as the reference.
+float serial_dot(const Tensor& a, std::size_t i, const Tensor& bt,
+                 std::size_t j) {
+  float acc = 0.0f;
+  for (std::size_t c = 0; c < a.cols(); ++c) acc += a.at(i, c) * bt.at(j, c);
+  return acc;
+}
+
+// Bit equality, except that any NaN matches any NaN: which operand's
+// payload a NaN result carries is not part of the contract.
+bool same_float(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+TEST(Matmul, TransposedBBitIdenticalToSerialDot) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::size_t> ms;
+  for (std::size_t m = 1; m <= 17; ++m) ms.push_back(m);
+  ms.push_back(33);
+  util::Rng rng(11);
+  std::size_t nan_outputs = 0;
+  for (const std::size_t m : ms) {
+    for (const std::size_t n : {1u, 15u, 16u, 17u, 1761u}) {
+      for (const std::size_t k : {1u, 7u, 128u}) {
+        Tensor a(m, k), bt(n, k);
+        a.randomize(rng, 1.0f);
+        bt.randomize(rng, 1.0f);
+        // Row 0 of a is all -0.0: every product is a signed zero, and the
+        // serial dot still starts from +0.0.
+        std::fill_n(a.data(), k, -0.0f);
+        if (m > 1) a.at(m - 1, k / 2) = kInf;  // ±inf, or NaN against a 0
+        bt.at(n - 1, 0) = kNan;
+        if (n > 2) bt.at(1, k - 1) = 0.0f;  // inf · 0
+        Tensor simd(m, n), portable(m, n);
+        matmul_transposed_b(a, bt, simd);
+        detail::matmul_transposed_b_portable(a, bt, portable);
+        if (n > 1) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(simd.at(0, 0)), 0u);
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const float want = serial_dot(a, i, bt, j);
+            nan_outputs += std::isnan(want) ? 1 : 0;
+            ASSERT_TRUE(same_float(simd.at(i, j), want))
+                << "m=" << m << " n=" << n << " k=" << k << " at (" << i
+                << ", " << j << "): " << simd.at(i, j) << " vs " << want;
+            ASSERT_TRUE(same_float(portable.at(i, j), want))
+                << "portable m=" << m << " n=" << n << " k=" << k << " at ("
+                << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(nan_outputs, 0u);  // the special values really reached outputs
 }
 
 TEST(MatmulGrads, ConsistentWithFiniteDifferences) {
