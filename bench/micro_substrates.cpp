@@ -1,19 +1,22 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// the tied output head, temperature sampling, GBT training, syr2k model
-// evaluation, dataset generation, trace-step construction and haystack
-// enumeration.  These validate that the HPC-parallel substrate is fast
-// enough for the paper-scale sweeps and catch performance regressions.
+// paged attention, the tied output head, temperature sampling, GBT
+// training, syr2k model evaluation, dataset generation, trace-step
+// construction and haystack enumeration.  These validate that the
+// HPC-parallel substrate is fast enough for the paper-scale sweeps and
+// catch performance regressions.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
 #include "haystack/decoding_set.hpp"
+#include "lm/attention.hpp"
 #include "lm/generate.hpp"
 #include "lm/sampler.hpp"
 #include "lm/tensor.hpp"
 #include "lm/trace.hpp"
 #include "lm/transformer.hpp"
+#include "mem/paged_kv.hpp"
 #include "perf/dataset.hpp"
 #include "util/rng.hpp"
 
@@ -101,6 +104,37 @@ void BM_TiedHead(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * rows * kVocab * kDModel));
 }
 BENCHMARK(BM_TiedHead)->Arg(1)->Arg(8)->Arg(32);
+
+// Attention of one query over n cached positions (lm::attend_row) at the
+// serving shape — head dim 64, K/V rows of d_model 128 — gathered from
+// 16-row page spans: the per-head cost a long ICL block puts on every
+// prefill row and decode step.
+void BM_AttendRow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kHeadDim = 64, kStride = 128, kPageRows = 16;
+  util::Rng rng(13);
+  const std::size_t pages = (n + kPageRows - 1) / kPageRows;
+  lm::Tensor q(1, kHeadDim), k(pages * kPageRows, kStride),
+      v(pages * kPageRows, kStride);
+  q.randomize(rng, 1.0f);
+  k.randomize(rng, 1.0f);
+  v.randomize(rng, 1.0f);
+  std::vector<mem::KvSpan> spans;
+  for (std::size_t p = 0; p < pages; ++p) {
+    spans.push_back({k.data() + p * kPageRows * kStride,
+                     v.data() + p * kPageRows * kStride, kPageRows});
+  }
+  std::vector<float> prow(n), ctx(kHeadDim);
+  for (auto _ : state) {
+    lm::attend_row(q.data(), spans.data(), spans.size(), kStride,
+                   /*head_off=*/kHeadDim, n, kHeadDim, 0.125f, prow.data(),
+                   ctx.data());
+    benchmark::DoNotOptimize(ctx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_AttendRow)->Arg(16)->Arg(80)->Arg(300)->Arg(800);
 
 // One temperature-0.8 draw over a full-vocabulary logit row, the per-token
 // sampling cost of a sampled (non-greedy) request.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
+#include <utility>
 
 #include "haystack/decoding_set.hpp"
 #include "lm/generate.hpp"
@@ -42,23 +43,24 @@ std::uint64_t cell_stream(const SweepSettings& settings, perf::SizeClass size,
 }
 
 /// All dataset rows ordered by edit distance from `centre` (excluding the
-/// centre itself); ties broken by index for determinism.
+/// centre itself); ties broken by index for determinism.  Each distance is
+/// computed once; the (distance, index) keys are unique, so a plain sort
+/// gives the one order they define.
 std::vector<std::size_t> neighbor_order(const perf::Dataset& data,
                                         std::size_t centre) {
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
   const perf::Syr2kConfig& centre_cfg = data[centre].config;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const int da = perf::ConfigSpace::edit_distance(
-                         data[a].config, centre_cfg);
-                     const int db = perf::ConfigSpace::edit_distance(
-                         data[b].config, centre_cfg);
-                     if (da != db) return da < db;
-                     return a < b;
-                   });
-  // order[0] is the centre (distance zero) — drop it.
-  order.erase(order.begin());
+  std::vector<std::pair<int, std::size_t>> keyed(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    keyed[i] = {perf::ConfigSpace::edit_distance(data[i].config, centre_cfg),
+                i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  // keyed[0] is the centre (distance zero) — drop it.
+  std::vector<std::size_t> order;
+  order.reserve(keyed.size() - 1);
+  for (std::size_t i = 1; i < keyed.size(); ++i) {
+    order.push_back(keyed[i].second);
+  }
   return order;
 }
 
@@ -95,6 +97,17 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         order.begin(), order.begin() + settings.queries_per_setting);
     const std::vector<std::size_t> pool(
         order.begin() + settings.queries_per_setting, order.end());
+    // Each query's neighbourhood, shared by every minimal-edit-distance
+    // (icl, set) cell of this size.
+    std::vector<std::vector<std::size_t>> panel_neighbors;
+    if (std::find(settings.curations.begin(), settings.curations.end(),
+                  Curation::MinimalEditDistance) != settings.curations.end()) {
+      for (const std::size_t q : query_panel) {
+        panel_neighbors.push_back(neighbor_order(data, q));
+        LMPEEL_CHECK(settings.disjoint_sets * max_icl <=
+                     panel_neighbors.back().size());
+      }
+    }
 
     for (const Curation curation : settings.curations) {
       for (const std::size_t icl : settings.icl_counts) {
@@ -121,10 +134,7 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
             // uses the k-th ring of each query's neighbourhood.
             cell.query_indices = query_panel;
             cell.per_query_icl.reserve(query_panel.size());
-            for (const std::size_t q : query_panel) {
-              const auto neighbors = neighbor_order(data, q);
-              LMPEEL_CHECK(settings.disjoint_sets * max_icl <=
-                           neighbors.size());
+            for (const auto& neighbors : panel_neighbors) {
               cell.per_query_icl.emplace_back(
                   neighbors.begin() + set_id * icl,
                   neighbors.begin() + (set_id + 1) * icl);

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
+#include "lm/lanes.hpp"
 #include "util/check.hpp"
 
 namespace lmpeel::lm {
@@ -107,43 +104,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& out) {
 }
 
 namespace {
-
-// Vector policies for the tied-head kernel below: a lane type, its width,
-// and the four operations it needs.  mul and add stay separate operations
-// (no FMA, and this TU is built with -ffp-contract=off), so every lane
-// rounds exactly as the scalar expression `acc + a * b` does.
-#if defined(__AVX2__)  // also set by -mavx512f
-struct Lanes8 {
-  static constexpr std::size_t kWidth = 8;
-  using V = __m256;
-  static V zero() { return _mm256_setzero_ps(); }
-  static V load(const float* p) { return _mm256_loadu_ps(p); }
-  static V mul_add(V acc, V a, float b) {
-    return _mm256_add_ps(acc, _mm256_mul_ps(a, _mm256_set1_ps(b)));
-  }
-  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
-};
-#endif
-
-/// Plain C++ lanes: the fallback on any target, and the reference the
-/// intrinsic policy is tested against.
-struct PortableLanes {
-  static constexpr std::size_t kWidth = 8;
-  struct V {
-    float x[kWidth];
-  };
-  static V zero() { return V{}; }
-  static V load(const float* p) {
-    V v;
-    std::copy_n(p, kWidth, v.x);
-    return v;
-  }
-  static V mul_add(V acc, V a, float b) {
-    for (std::size_t l = 0; l < kWidth; ++l) acc.x[l] += a.x[l] * b;
-    return acc;
-  }
-  static void store(float* p, V v) { std::copy_n(v.x, kWidth, p); }
-};
 
 /// Logits of vocab rows [j0, j0 + J) for the `rows` rows whose transposed
 /// activations are in `at` ([k x kWidth], lane r = row r).  The J

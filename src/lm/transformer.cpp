@@ -33,10 +33,11 @@ void bias_grad(const Tensor& dy, Tensor& db) {
 
 // The per-row kernels shared between forward(), the inference body and the
 // quantized backend (attend_row / embed_row) live in lm/attention.cpp — one
-// noinline machine-code copy for every caller, which is what the
-// bit-identity guarantees rest on.  The tied head is matmul_transposed_b
-// (lm/tensor.cpp), whose every output is the serial dot product whatever
-// the row count, so forward(), prefill and decode share it too.
+// noinline copy for every caller, whose SIMD lanes each compute a key's
+// serial dot product, which is what the bit-identity guarantees rest on.
+// The tied head is matmul_transposed_b (lm/tensor.cpp), whose every output
+// is the serial dot product whatever the row count, so forward(), prefill
+// and decode share it too.
 
 }  // namespace
 

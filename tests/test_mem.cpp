@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "lm/transformer.hpp"
 #include "mem/paged_kv.hpp"
 #include "obs/metrics.hpp"
+#include "quant/quantized_lm.hpp"
 #include "serve/client.hpp"
 #include "serve/decoder.hpp"
 #include "serve/engine.hpp"
@@ -311,6 +313,97 @@ TEST(PagedTransformer, SharedPrefixSuffixPrefillMatchesFullPrefill) {
     for (std::size_t i = 0; i < vocab; ++i) {
       ASSERT_EQ(want[i], got[i]) << "source rows were clobbered";
     }
+  }
+}
+
+// attend_row's SIMD lanes take 8 keys of one page span at a time, and a
+// span's leftover rows go serially.  Contexts of 1..70 tokens cross whole
+// lane groups, leftovers of every length and page edges — in prefill, in
+// prefix-hit suffixes and in batched decode.
+void expect_paged_attention_matches_next_logits(lm::TransformerConfig cfg,
+                                                std::size_t page_tokens,
+                                                lm::KvBackend& model,
+                                                lm::LanguageModel& serial) {
+  PagePool pool(pool_config_for(cfg, page_tokens));
+  const auto vocab = static_cast<std::size_t>(cfg.vocab);
+  const auto prompt = test_prompt(70, /*salt=*/41, cfg.vocab);
+  const auto first = [&](std::size_t len) {
+    return std::span<const int>(prompt).first(len);
+  };
+  std::vector<float> want(vocab), got(vocab);
+
+  for (std::size_t len = 1; len <= prompt.size(); ++len) {
+    serial.next_logits(first(len), want);
+    lm::KvCache cache;
+    cache.attach_pool(&pool);
+    model.prefill(cache, first(len), got);
+    ASSERT_EQ(want, got) << "prefill of " << len << " tokens";
+  }
+
+  // Prefix hits ending mid-group, on a group edge and on page edges, each
+  // continued by a suffix that crosses at least one more page.
+  lm::KvCache source;
+  source.attach_pool(&pool);
+  model.prefill(source, first(48), got);
+  for (const std::size_t prefix_len : {5u, 8u, 16u, 21u, 32u, 47u}) {
+    const std::size_t len = prefix_len + 19;
+    serial.next_logits(first(len), want);
+    lm::KvCache hit;
+    hit.attach_pool(&pool);
+    hit.copy_prefix(source, prefix_len);
+    model.prefill_from(hit, first(len).subspan(prefix_len), got);
+    ASSERT_EQ(want, got) << "suffix after a " << prefix_len
+                         << "-token prefix hit";
+  }
+
+  // Batched decode over ragged lengths that grow across group and page
+  // edges step by step.
+  const std::vector<std::size_t> lengths{1, 7, 8, 9, 15, 16, 17, 33, 47, 63};
+  std::vector<lm::KvCache> caches(lengths.size());
+  std::vector<lm::KvCache*> cache_ptrs;
+  std::vector<std::vector<int>> contexts;
+  for (std::size_t b = 0; b < lengths.size(); ++b) {
+    caches[b].attach_pool(&pool);
+    model.prefill(caches[b], first(lengths[b]), got);
+    cache_ptrs.push_back(&caches[b]);
+    contexts.emplace_back(prompt.begin(), prompt.begin() + lengths[b]);
+  }
+  lm::Tensor out(lengths.size(), vocab);
+  std::vector<int> tokens(lengths.size());
+  for (std::size_t step = 0; step < 8; ++step) {
+    for (std::size_t b = 0; b < lengths.size(); ++b) {
+      tokens[b] = static_cast<int>((step * 5 + b * 11 + 2) % vocab);
+      contexts[b].push_back(tokens[b]);
+    }
+    model.decode_batch(cache_ptrs, tokens, out);
+    for (std::size_t b = 0; b < lengths.size(); ++b) {
+      serial.next_logits(contexts[b], want);
+      ASSERT_EQ(want, std::vector<float>(out.row(b).begin(), out.row(b).end()))
+          << "decode step " << step << " of a " << lengths[b]
+          << "-token context";
+    }
+  }
+}
+
+// 16-token pages split keys into lane groups exactly where next_logits'
+// single span does; 12-token pages do not, so a key that is a lane in one
+// layout is a leftover in the other.  f32 and int8 alike (int8's
+// next_logits prefills a private 16-token-page cache).
+TEST(PagedTransformer, LaneGroupSpansMatchNextLogitsBitForBit) {
+  lm::TransformerConfig cfg = tiny_config();
+  cfg.d_model = 36;  // head dim 18: lane column blocks plus leftovers
+  cfg.max_seq = 96;
+  lm::TransformerLm model(cfg, /*seed=*/13);
+  quant::QuantizedLm int8(model, quant::WeightFormat::kInt8);
+  for (const std::size_t page_tokens : {16u, 12u}) {
+    SCOPED_TRACE(testing::Message() << page_tokens << "-token pages");
+    {
+      SCOPED_TRACE("f32");
+      expect_paged_attention_matches_next_logits(cfg, page_tokens, model,
+                                                 model);
+    }
+    SCOPED_TRACE("int8");
+    expect_paged_attention_matches_next_logits(cfg, page_tokens, int8, int8);
   }
 }
 

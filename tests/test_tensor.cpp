@@ -9,6 +9,8 @@
 #include <limits>
 #include <vector>
 
+#include "lm/attention.hpp"
+#include "mem/paged_kv.hpp"
 #include "util/rng.hpp"
 
 namespace lmpeel::lm {
@@ -104,6 +106,175 @@ TEST(Matmul, TransposedBBitIdenticalToSerialDot) {
     }
   }
   EXPECT_GT(nan_outputs, 0u);  // the special values really reached outputs
+}
+
+// attend_row exactly as it was before its score loop went SIMD: one serial
+// c-ascending dot per key, a running max, and a per-key V blend through
+// memory.  The SIMD kernel must reproduce it bit for bit.
+void frozen_attend_row(const float* q, const mem::KvSpan* spans,
+                       std::size_t n_spans, std::size_t stride,
+                       std::size_t head_off, std::size_t n, std::size_t hd,
+                       float scale, float* prow, float* ctx) {
+  float hi = -1e30f;
+  std::size_t u = 0;
+  for (std::size_t s = 0; s < n_spans && u < n; ++s) {
+    const float* kbase = spans[s].k + head_off;
+    const std::size_t rows = std::min(spans[s].tokens, n - u);
+    for (std::size_t r = 0; r < rows; ++r, ++u) {
+      const float* k = kbase + r * stride;
+      float acc = 0.0f;
+      for (std::size_t c = 0; c < hd; ++c) acc += q[c] * k[c];
+      prow[u] = acc * scale;
+      hi = std::max(hi, prow[u]);
+    }
+  }
+  float sum = 0.0f;
+  for (std::size_t w = 0; w < n; ++w) {
+    prow[w] = std::exp(prow[w] - hi);
+    sum += prow[w];
+  }
+  const float inv = 1.0f / sum;
+  for (std::size_t w = 0; w < n; ++w) prow[w] *= inv;
+
+  std::fill_n(ctx, hd, 0.0f);
+  u = 0;
+  for (std::size_t s = 0; s < n_spans && u < n; ++s) {
+    const float* vbase = spans[s].v + head_off;
+    const std::size_t rows = std::min(spans[s].tokens, n - u);
+    for (std::size_t r = 0; r < rows; ++r, ++u) {
+      const float p = prow[u];
+      if (p == 0.0f) continue;
+      const float* v = vbase + r * stride;
+      for (std::size_t c = 0; c < hd; ++c) ctx[c] += p * v[c];
+    }
+  }
+}
+
+// Key/value rows for one attend_row case, laid out as the callers do:
+// stride d with separate K and V rows (a paged cache) or stride 3d over
+// packed QKV rows (forward()).  Rows have two heads and the second is
+// attended, so head_off is nonzero.  Spans are stored in reverse order, so
+// no kernel can get away with treating them as one contiguous run.
+struct AttentionCase {
+  std::size_t hd, stride, head_off, span_rows;
+  std::vector<float> q, k_rows, v_rows;
+  float* k_base;  // position 0 of the reversed storage, K and V
+  float* v_base;
+  std::vector<mem::KvSpan> spans;
+
+  AttentionCase(std::size_t hd_, bool packed, std::size_t n,
+                std::size_t span_rows_)
+      : hd(hd_), head_off(hd_), span_rows(span_rows_), q(hd_) {
+    const std::size_t d = 2 * hd;
+    stride = packed ? 3 * d : d;
+    const std::size_t n_spans = (n + span_rows - 1) / span_rows;
+    k_rows.resize(n_spans * span_rows * stride);
+    v_rows.resize(packed ? 0 : k_rows.size());
+    k_base = k_rows.data() + (packed ? d : 0);
+    v_base = packed ? k_rows.data() + 2 * d : v_rows.data();
+    for (std::size_t s = 0; s < n_spans; ++s) {
+      const std::size_t at = (n_spans - 1 - s) * span_rows * stride;
+      spans.push_back({k_base + at, v_base + at, span_rows});
+    }
+  }
+  /// Offset of position u's attended head slice from k_base / v_base.
+  std::size_t at(std::size_t u) const {
+    const std::size_t slot = spans.size() - 1 - u / span_rows;
+    return (slot * span_rows + u % span_rows) * stride + head_off;
+  }
+  float* k(std::size_t u) { return k_base + at(u); }
+  float* v(std::size_t u) { return v_base + at(u); }
+};
+
+TEST(Attention, BitIdenticalToFrozenScalar) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kSentinel = 12345.0f;
+  std::vector<std::size_t> ns;
+  for (std::size_t n = 1; n <= 40; ++n) ns.push_back(n);
+  for (const std::size_t n : {63u, 64u, 65u, 129u, 298u, 299u, 300u}) {
+    ns.push_back(n);
+  }
+  util::Rng rng(23);
+  std::size_t cases = 0, nan_outputs = 0, skipped_keys = 0;
+  for (const std::size_t hd : {1u, 7u, 8u, 9u, 16u, 32u, 64u, 65u}) {
+    for (const bool packed : {false, true}) {
+      for (const std::size_t n : ns) {
+        for (const std::size_t span_rows : {1u, 5u, 8u, 16u, 0u}) {
+          // span_rows 0: one span longer than n, as forward() passes.
+          AttentionCase tc(hd, packed, n, span_rows == 0 ? n + 3 : span_rows);
+          for (float& x : tc.q) x = static_cast<float>(rng.normal(0.0, 1.0));
+          for (auto* rows : {&tc.k_rows, &tc.v_rows}) {
+            for (float& x : *rows) x = static_cast<float>(rng.normal(0.0, 1.0));
+          }
+          const std::size_t pattern = cases++ % 4;
+          // Key 0 is all -0.0: every product is a signed zero.
+          std::fill_n(tc.k(0), hd, -0.0f);
+          if (pattern == 1 && n > 2) {
+            tc.k(n / 2)[hd / 2] = kInf;
+            tc.k(n - 1)[0] = -kInf;
+          } else if (pattern == 2 && n > 1) {
+            tc.k(n - 1)[hd - 1] = kNan;
+          } else if (pattern == 3) {
+            // Denormal keys, and keys so far below the rest that their
+            // probability underflows to 0 while their values are
+            // non-finite: only the p == 0 skip keeps ctx finite.
+            for (std::size_t u = 1; u < n; u += 3) {
+              for (std::size_t c = 0; c < hd; ++c) tc.k(u)[c] *= 1e-39f;
+            }
+            for (std::size_t u = 2; u < n; u += 7) {
+              for (std::size_t c = 0; c < hd; ++c) {
+                tc.k(u)[c] = tc.q[c] < 0.0f ? 1e4f : -1e4f;
+              }
+              tc.v(u)[u % hd] = u % 2 == 0 ? kInf : kNan;
+            }
+          }
+          std::vector<float> want_p(n), want_ctx(hd);
+          frozen_attend_row(tc.q.data(), tc.spans.data(), tc.spans.size(),
+                            tc.stride, tc.head_off, n, hd, 0.125f,
+                            want_p.data(), want_ctx.data());
+          for (const bool portable : {false, true}) {
+            std::vector<float> p(n + 8, kSentinel), ctx(hd + 8, kSentinel);
+            (portable ? detail::attend_row_portable : attend_row)(
+                tc.q.data(), tc.spans.data(), tc.spans.size(), tc.stride,
+                tc.head_off, n, hd, 0.125f, p.data(), ctx.data());
+            const auto where = [&] {
+              return testing::Message()
+                     << (portable ? "portable " : "") << "hd=" << hd
+                     << " stride=" << tc.stride << " n=" << n
+                     << " span_rows=" << tc.span_rows
+                     << " pattern=" << pattern;
+            };
+            for (std::size_t u = 0; u < n; ++u) {
+              ASSERT_TRUE(same_float(p[u], want_p[u]))
+                  << where() << " prow[" << u << "]: " << p[u] << " vs "
+                  << want_p[u];
+            }
+            for (std::size_t c = 0; c < hd; ++c) {
+              ASSERT_TRUE(same_float(ctx[c], want_ctx[c]))
+                  << where() << " ctx[" << c << "]: " << ctx[c] << " vs "
+                  << want_ctx[c];
+            }
+            const auto untouched = [&](const std::vector<float>& buf,
+                                       std::size_t from) {
+              return std::all_of(buf.begin() + from, buf.end(),
+                                 [&](float x) { return x == kSentinel; });
+            };
+            ASSERT_TRUE(untouched(p, n)) << where() << " wrote past prow";
+            ASSERT_TRUE(untouched(ctx, hd)) << where() << " wrote past ctx";
+          }
+          for (std::size_t u = 0; u < n; ++u) {
+            skipped_keys +=
+                want_p[u] == 0.0f && !std::isfinite(tc.v(u)[u % hd]);
+          }
+          for (const float x : want_ctx) nan_outputs += std::isnan(x);
+        }
+      }
+    }
+  }
+  // The special values really reached the outputs and the p == 0 skip.
+  EXPECT_GT(nan_outputs, 0u);
+  EXPECT_GT(skipped_keys, 0u);
 }
 
 TEST(MatmulGrads, ConsistentWithFiniteDifferences) {
