@@ -48,8 +48,7 @@ int main() {
     auto ctx = ids;
     ctx.push_back(tz.space_token());
     std::vector<float> logits(pipeline.model().vocab_size());
-    pipeline.model().set_seed(seed);
-    pipeline.model().next_logits(ctx, logits);
+    pipeline.model().next_logits(ctx, seed, logits);
     std::vector<float> probs(logits.size());
     lm::probabilities(logits, probs);
     std::vector<std::pair<float, int>> top;

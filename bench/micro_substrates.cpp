@@ -59,7 +59,7 @@ void BM_InductionNextLogits(benchmark::State& state) {
   ids.push_back(pipeline.tokenizer().space_token());
   std::vector<float> logits(pipeline.model().vocab_size());
   for (auto _ : state) {
-    pipeline.model().next_logits(ids, logits);
+    pipeline.model().next_logits(ids, /*seed=*/0, logits);
     benchmark::DoNotOptimize(logits.data());
   }
 }
@@ -79,7 +79,7 @@ void BM_TransformerForward(benchmark::State& state) {
   }
   std::vector<float> logits(config.vocab);
   for (auto _ : state) {
-    model.next_logits(context, logits);
+    model.next_logits(context, /*seed=*/0, logits);
     benchmark::DoNotOptimize(logits.data());
   }
 }

@@ -54,10 +54,11 @@ double env_double(const char* name, double fallback) {
 }
 
 /// Generative-surrogate score of one candidate: log P(label | prompt).
+/// Both models are deterministic, so the seed is immaterial.
 double surrogate_score(lm::LanguageModel& model,
                        const std::vector<int>& context,
                        const std::vector<int>& label) {
-  return lm::sequence_log_probability(model, context, label);
+  return lm::sequence_log_probability(model, context, label, /*seed=*/0);
 }
 
 std::size_t best_index(const tune::CampaignResult& result) {

@@ -8,9 +8,6 @@
 #include "haystack/decoding_set.hpp"
 #include "lm/generate.hpp"
 #include "prompt/parser.hpp"
-#include "serve/client.hpp"
-#include "serve/decoder.hpp"
-#include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -150,21 +147,9 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
   SweepResult result;
   result.settings.resize(cells.size() * settings.seeds);
   std::mutex observer_mutex;
-  // All generation goes through one serve::Engine: its scheduler thread owns
-  // the shared model (which carries per-generation seed state), while prompt
-  // encoding and bookkeeping fan out across the pool.  The replay decoder
-  // reseeds the model per request, so results are bit-identical to the old
-  // mutex-serialised lm::generate calls regardless of interleaving.
-  serve::GenericBatchDecoder decoder(model, /*slots=*/8);
-  serve::EngineConfig engine_config;
-  engine_config.max_batch = 8;
-  // Whole-prompt admission: a replay prefill is one next_logits call, so
-  // chunking it would only add scheduler ticks.
-  engine_config.prefill_chunk_tokens = 0;
-  engine_config.queue_capacity =
-      std::max<std::size_t>(64, util::global_pool().size() * 2);
-  serve::Engine engine(decoder, engine_config);
-
+  // Cells run concurrently on the pool and share `model`: the seed travels
+  // with every next_logits call, so a generation depends only on its prompt
+  // and options, whichever cells run beside it.
   util::parallel_for(0, cells.size(), [&](std::size_t ci) {
     const Cell& cell = cells[ci];
     const perf::Dataset& data = pipeline.dataset(cell.size);
@@ -206,14 +191,8 @@ SweepResult run_llm_quality_sweep(Pipeline& pipeline,
         gen.seed = util::hash_combine(settings.seed, 0x5eedULL + seed_id);
         gen.record_trace = true;  // Table II counts + the observer
 
-        // One outstanding request per pool worker, so the bounded queue can
-        // never fill up (capacity >= pool size) and rejection is impossible
-        // here by construction.
-        serve::ServeResult served =
-            serve::generate_sync(engine, prompts[q], gen);
-        LMPEEL_CHECK_MSG(served.status == serve::RequestStatus::Ok,
-                         "sweep generation rejected by serve engine");
-        lm::Generation generation = std::move(served.generation);
+        const lm::Generation generation =
+            lm::generate(model, prompts[q], gen);
         const lm::GenerationTrace& trace = lm::recorded_trace(generation);
         const std::string response = tokenizer.decode(generation.tokens);
         const auto parsed = prompt::parse_response(response);

@@ -23,6 +23,9 @@ class SweepObserver {
 /// Runs the sweep against the pipeline's model, or against
 /// `model_override` when given (used by the §V-D number-hook extension and
 /// by transformer ablations — any LanguageModel over the same tokenizer).
+/// Cells run on the global pool, so the model's next_logits is called from
+/// several threads at once; every model and wrapper in the library allows
+/// that.
 SweepResult run_llm_quality_sweep(Pipeline& pipeline,
                                   const SweepSettings& settings,
                                   SweepObserver* observer = nullptr,

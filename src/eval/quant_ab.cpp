@@ -37,8 +37,8 @@ DriftReport logit_drift(lm::LanguageModel& reference,
   double sq = 0.0;
   std::size_t compared = 0;
   for (int step = 0; step <= steps; ++step) {
-    reference.next_logits(context, ref_logits);
-    variant.next_logits(context, var_logits);
+    reference.next_logits(context, /*seed=*/0, ref_logits);
+    variant.next_logits(context, /*seed=*/0, var_logits);
     for (std::size_t v = 0; v < vocab; ++v) {
       const float drift = std::abs(var_logits[v] - ref_logits[v]);
       report.max_abs_drift = std::max(report.max_abs_drift, drift);

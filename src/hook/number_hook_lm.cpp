@@ -75,8 +75,8 @@ std::string NumberHookLm::name() const {
 }
 
 void NumberHookLm::next_logits(std::span<const int> context,
-                               std::span<float> out) {
-  base_->next_logits(context, out);
+                               std::uint64_t seed, std::span<float> out) {
+  base_->next_logits(context, seed, out);
 
   // The hook only overrides positions where the base model itself is about
   // to emit numeric material (its top candidate is a digit group or the
@@ -105,6 +105,7 @@ void NumberHookLm::next_logits(std::span<const int> context,
 
   const std::span<const int> prompt = context.subspan(0, response_start);
   const std::uint64_t key = prompt_key(prompt);
+  const std::lock_guard lock(memo_mutex_);
   if (!memo_valid_ || key != memo_key_) {
     memo_key_ = key;
     memo_value_tokens_.clear();

@@ -22,7 +22,9 @@
 // quantitative domains" the paper sketches.
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,7 +71,8 @@ class GbtNumberGenerator final : public NumberGenerator {
   std::size_t min_examples_;
 };
 
-/// LanguageModel wrapper implementing the hook.
+/// LanguageModel wrapper implementing the hook.  Safe to call from several
+/// threads at once, as the §IV-A sweep does: the memo sits behind a mutex.
 class NumberHookLm final : public LanguageModel {
  public:
   /// All three collaborators must outlive the wrapper.
@@ -77,9 +80,8 @@ class NumberHookLm final : public LanguageModel {
                NumberGenerator& generator);
 
   int vocab_size() const override { return base_->vocab_size(); }
-  void next_logits(std::span<const int> context,
+  void next_logits(std::span<const int> context, std::uint64_t seed,
                    std::span<float> out) override;
-  void set_seed(std::uint64_t seed) override { base_->set_seed(seed); }
   std::string name() const override;
 
   /// How often the hook fired vs fell back to the base model.
@@ -87,10 +89,6 @@ class NumberHookLm final : public LanguageModel {
   std::size_t hook_fallbacks() const noexcept { return fallbacks_; }
 
  private:
-  /// Detects whether the next token starts/continues a hooked value and
-  /// returns the remaining tokens to force, if any.
-  std::optional<int> forced_token(std::span<const int> context);
-
   LanguageModel* base_;
   const tok::Tokenizer* tokenizer_;
   NumberGenerator* generator_;
@@ -99,12 +97,13 @@ class NumberHookLm final : public LanguageModel {
   // Per-response memo: the value decided for the current response slot,
   // keyed by the prompt fingerprint so repeated next_logits calls within
   // one generation agree.
+  std::mutex memo_mutex_;
   std::uint64_t memo_key_ = 0;
   std::vector<int> memo_value_tokens_;
   bool memo_valid_ = false;
 
-  std::size_t invocations_ = 0;
-  std::size_t fallbacks_ = 0;
+  std::atomic<std::size_t> invocations_{0};
+  std::atomic<std::size_t> fallbacks_{0};
 };
 
 }  // namespace lmpeel::lm

@@ -40,9 +40,9 @@ class KvBackend {
 
   virtual int vocab_size() const = 0;
 
-  /// Reseeds any backend-internal stochasticity; deterministic backends
-  /// ignore it (kept for LanguageModel parity — the serve engine calls it
-  /// once per request).
+  /// No backend has seeded stochasticity and nothing in the library calls
+  /// this.  It stays declared only because the benchmark's timing wrapper
+  /// overrides it, and goes with the next change to that benchmark.
   virtual void set_seed(std::uint64_t /*seed*/) {}
 
   /// Seeds an *empty* cache with the key/value pairs of every position of

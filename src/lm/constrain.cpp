@@ -122,8 +122,9 @@ GrammarConstrainedLm::GrammarConstrainedLm(LanguageModel& base,
     : base_(&base), tokenizer_(&tokenizer), mask_(std::move(mask)) {}
 
 void GrammarConstrainedLm::next_logits(std::span<const int> context,
+                                       std::uint64_t seed,
                                        std::span<float> out) {
-  base_->next_logits(context, out);
+  base_->next_logits(context, seed, out);
 
   // The grammar applies to the response section only.
   bool in_response = false;

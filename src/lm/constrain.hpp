@@ -14,6 +14,7 @@
 // output parses, but the digits carry no model belief at all.
 #pragma once
 
+#include <atomic>
 #include <span>
 #include <string>
 
@@ -48,29 +49,29 @@ class DecimalValueMask {
 };
 
 /// Wraps a base model so every next_logits call is grammar-masked; plugs
-/// into the existing generation/sweep machinery unchanged.
+/// into the existing generation/sweep machinery unchanged.  Safe to call
+/// from several threads at once, as the §IV-A sweep does.
 class GrammarConstrainedLm final : public LanguageModel {
  public:
   GrammarConstrainedLm(LanguageModel& base, const tok::Tokenizer& tokenizer,
                        DecimalValueMask mask);
 
   int vocab_size() const override { return base_->vocab_size(); }
-  void next_logits(std::span<const int> context,
+  void next_logits(std::span<const int> context, std::uint64_t seed,
                    std::span<float> out) override;
-  void set_seed(std::uint64_t seed) override { base_->set_seed(seed); }
   std::string name() const override {
     return base_->name() + "+grammar-mask";
   }
 
   /// Steps where the base model had zero mass on every legal token and the
   /// wrapper had to substitute a uniform choice.
-  std::size_t forced_uniform_steps() const noexcept { return forced_; }
+  std::size_t forced_uniform_steps() const noexcept { return forced_.load(); }
 
  private:
   LanguageModel* base_;
   const tok::Tokenizer* tokenizer_;
   DecimalValueMask mask_;
-  std::size_t forced_ = 0;
+  std::atomic<std::size_t> forced_{0};
 };
 
 }  // namespace lmpeel::lm

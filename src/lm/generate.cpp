@@ -11,7 +11,8 @@ namespace lmpeel::lm {
 
 double sequence_log_probability(LanguageModel& model,
                                 std::span<const int> context,
-                                std::span<const int> continuation) {
+                                std::span<const int> continuation,
+                                std::uint64_t seed) {
   LMPEEL_CHECK(!continuation.empty());
   obs::Span span("lm.sequence_log_probability");
   std::vector<int> ctx(context.begin(), context.end());
@@ -22,7 +23,7 @@ double sequence_log_probability(LanguageModel& model,
     LMPEEL_CHECK(token >= 0 && token < model.vocab_size());
     {
       obs::Span step_span("lm.next_logits");
-      model.next_logits(ctx, logits);
+      model.next_logits(ctx, seed, logits);
     }
     obs::Registry::global().counter("lm.scored_tokens").add();
     if (logits[token] == kNegInf) {
@@ -47,7 +48,6 @@ Generation generate(LanguageModel& model, std::span<const int> prompt,
   LMPEEL_CHECK(options.max_tokens > 0);
   obs::Span span("lm.generate");
   obs::Registry::global().counter("lm.generations").add();
-  model.set_seed(options.seed);
   util::Rng rng(options.seed, /*stream=*/0x5a3c);
 
   std::vector<int> context(prompt.begin(), prompt.end());
@@ -57,7 +57,7 @@ Generation generate(LanguageModel& model, std::span<const int> prompt,
   for (std::size_t i = 0; i < options.max_tokens; ++i) {
     {
       obs::Span step_span("lm.next_logits");
-      model.next_logits(context, logits);
+      model.next_logits(context, options.seed, logits);
     }
     const int token = sample(logits, options.sampler, rng);
     if (options.stop_on_eos && token == tok::kEos) break;

@@ -18,6 +18,7 @@ struct GenerateOptions {
   int stop_token = -1;        ///< stop *before* emitting this token (-1: off)
   bool stop_on_eos = true;    ///< stop when <|eos|> is sampled
   std::uint64_t seed = 0;     ///< sampling stream; also passed to the model
+                              ///< on every next_logits call
   /// Record a trace Step (softmax + sorted selectable candidates) for every
   /// emitted token.  Off by default: only the offline analyses (sweeps,
   /// haystacks, figures) read the trace, and it costs a full-vocab softmax
@@ -43,10 +44,12 @@ Generation generate(LanguageModel& model, std::span<const int> prompt,
 const GenerationTrace& recorded_trace(const Generation& generation);
 
 /// Teacher-forced log-probability of `continuation` given `context`
-/// (sum of per-token log softmax values; -inf if any token is ungenerable).
-/// Used by the LLAMBO generative-classifier mode to score label strings.
+/// (sum of per-token log softmax values; -inf if any token is ungenerable),
+/// with `seed` passed to every next_logits call.  Used by the LLAMBO
+/// generative-classifier mode to score label strings.
 double sequence_log_probability(LanguageModel& model,
                                 std::span<const int> context,
-                                std::span<const int> continuation);
+                                std::span<const int> continuation,
+                                std::uint64_t seed);
 
 }  // namespace lmpeel::lm

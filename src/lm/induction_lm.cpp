@@ -186,10 +186,11 @@ InductionLm::ContextView InductionLm::parse(
 }
 
 std::optional<std::size_t> InductionLm::deviation_for(
-    std::span<const int> context, const ContextView& view) const {
+    std::span<const int> context, const ContextView& view,
+    std::uint64_t seed) const {
   if (!view.in_response || !view.query_is_performance) return std::nullopt;
   const std::uint64_t h = util::hash_combine(
-      seed_, context_hash(context.subspan(0, view.response_start)));
+      seed, context_hash(context.subspan(0, view.response_start)));
   const double u = static_cast<double>(util::mix64(h) >> 11) * 0x1.0p-53;
   const double p_dev = std::min(
       params_.deviation_max,
@@ -212,14 +213,14 @@ std::optional<std::size_t> InductionLm::deviation_for(
 }
 
 void InductionLm::next_logits(std::span<const int> context,
-                              std::span<float> out) {
+                              std::uint64_t seed, std::span<float> out) {
   LMPEEL_CHECK(out.size() == static_cast<std::size_t>(vocab_size()));
   std::fill(out.begin(), out.end(), kNegInf);
 
   const ContextView view = parse(context);
 
   if (view.in_response) {
-    const auto deviation = deviation_for(context, view);
+    const auto deviation = deviation_for(context, view, seed);
     if (deviation.has_value()) {
       const std::vector<int>& script = scripts_[*deviation];
       std::span<const int> tail = context.subspan(view.response_start);
@@ -228,7 +229,7 @@ void InductionLm::next_logits(std::span<const int> context,
           std::equal(tail.begin(), tail.end(), script.begin())) {
         out[script[tail.size()]] =
             static_cast<float>(std::log(params_.structural_weight));
-        apply_seed_jitter(context, out);
+        apply_seed_jitter(context, seed, out);
         return;
       }
       const bool script_done =
@@ -243,7 +244,7 @@ void InductionLm::next_logits(std::span<const int> context,
         // Parseable script just finished: emit the space before the value.
         out[tokenizer_->space_token()] =
             static_cast<float>(std::log(params_.structural_weight));
-        apply_seed_jitter(context, out);
+        apply_seed_jitter(context, seed, out);
         return;
       }
       // Parseable script + leading space: parse() classified the numeric
@@ -255,13 +256,13 @@ void InductionLm::next_logits(std::span<const int> context,
     }
     if (view.in_number) {
       number_logits(view, out);
-      apply_seed_jitter(context, out);
+      apply_seed_jitter(context, seed, out);
       return;
     }
   }
 
   text_logits(context, view, out);
-  apply_seed_jitter(context, out);
+  apply_seed_jitter(context, seed, out);
 }
 
 void InductionLm::number_logits(const ContextView& view,
@@ -476,9 +477,10 @@ void InductionLm::text_logits(std::span<const int> raw_context,
 }
 
 void InductionLm::apply_seed_jitter(std::span<const int> context,
+                                    std::uint64_t seed,
                                     std::span<float> logits) const {
   if (params_.seed_jitter <= 0.0) return;
-  const std::uint64_t base = util::hash_combine(seed_, context_hash(context));
+  const std::uint64_t base = util::hash_combine(seed, context_hash(context));
   for (std::size_t i = 0; i < logits.size(); ++i) {
     if (logits[i] == kNegInf) continue;
     logits[i] += static_cast<float>(

@@ -84,9 +84,8 @@ class InductionLm final : public LanguageModel {
                        InductionParams params = {});
 
   int vocab_size() const override;
-  void next_logits(std::span<const int> context,
+  void next_logits(std::span<const int> context, std::uint64_t seed,
                    std::span<float> out) override;
-  void set_seed(std::uint64_t seed) override { seed_ = seed; }
   std::string name() const override { return "induction-lm(llama3.1-8b-sim)"; }
 
   const InductionParams& params() const noexcept { return params_; }
@@ -120,14 +119,14 @@ class InductionLm final : public LanguageModel {
 
   /// Deviation script selection for this (seed, prompt); nullopt = none.
   std::optional<std::size_t> deviation_for(std::span<const int> context,
-                                           const ContextView& view) const;
+                                           const ContextView& view,
+                                           std::uint64_t seed) const;
 
-  void apply_seed_jitter(std::span<const int> context,
+  void apply_seed_jitter(std::span<const int> context, std::uint64_t seed,
                          std::span<float> logits) const;
 
   const tok::Tokenizer* tokenizer_;
   InductionParams params_;
-  std::uint64_t seed_ = 0;
 
   std::vector<int> marker_;  ///< token ids of "Performance:"
   /// Scripted deviation preambles (token ids).  Scripts whose index is

@@ -11,6 +11,7 @@
 // token" counts are computed from the non-(-inf), above-threshold entries.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -27,12 +28,12 @@ class LanguageModel {
 
   /// Computes logits for the token following `context`.
   /// `out` must have vocab_size() entries; every entry is overwritten.
-  virtual void next_logits(std::span<const int> context,
+  /// `seed` keys any model-internal stochasticity (e.g. the induction
+  /// model's seed-keyed logit jitter); deterministic models ignore it.
+  /// The model holds no per-generation state, so the logits are a pure
+  /// function of (context, seed).
+  virtual void next_logits(std::span<const int> context, std::uint64_t seed,
                            std::span<float> out) = 0;
-
-  /// Reseeds any model-internal stochasticity (e.g. the induction model's
-  /// seed-keyed logit jitter).  Deterministic models ignore it.
-  virtual void set_seed(std::uint64_t /*seed*/) {}
 
   virtual std::string name() const = 0;
 };

@@ -276,7 +276,7 @@ WeightOps::Norm TransformerLm::norm(std::size_t layer, bool second) const {
 }
 
 void TransformerLm::next_logits(std::span<const int> context,
-                                std::span<float> out) {
+                                std::uint64_t /*seed*/, std::span<float> out) {
   LMPEEL_CHECK(!context.empty());
   // Crop to the positional window; the transformer cannot see further back.
   std::span<const int> window = context;

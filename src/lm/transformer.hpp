@@ -34,11 +34,10 @@ class TransformerLm final : public LanguageModel,
 
   // ---- LanguageModel --------------------------------------------------
   int vocab_size() const override { return config_.vocab; }
-  void next_logits(std::span<const int> context,
+  /// Deterministic: `seed` is ignored.
+  void next_logits(std::span<const int> context, std::uint64_t seed,
                    std::span<float> out) override;
   std::string name() const override { return "transformer-lm"; }
-  /// Deterministic; the one override satisfies both base declarations.
-  void set_seed(std::uint64_t /*seed*/) override {}
 
   // ---- incremental inference (KV cache) --------------------------------
   /// The per-layer key/value cache lives at namespace scope

@@ -198,7 +198,7 @@ lm::WeightOps::Norm QuantizedLm::norm(std::size_t layer, bool second) const {
 }
 
 void QuantizedLm::next_logits(std::span<const int> context,
-                              std::span<float> out) {
+                              std::uint64_t /*seed*/, std::span<float> out) {
   LMPEEL_CHECK(!context.empty());
   std::span<const int> window = context;
   if (window.size() > static_cast<std::size_t>(config_.max_seq)) {

@@ -58,10 +58,10 @@ class QuantizedLm final : public lm::LanguageModel,
 
   // ---- LanguageModel ----------------------------------------------------
   int vocab_size() const override { return config_.vocab; }
-  void next_logits(std::span<const int> context,
+  /// Deterministic: `seed` is ignored.
+  void next_logits(std::span<const int> context, std::uint64_t seed,
                    std::span<float> out) override;
   std::string name() const override;
-  void set_seed(std::uint64_t /*seed*/) override {}  // deterministic
 
   // ---- KvBackend --------------------------------------------------------
   const lm::TransformerConfig& config() const noexcept override {

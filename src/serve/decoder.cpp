@@ -90,13 +90,12 @@ std::size_t TransformerBatchDecoder::shed_cache(std::size_t bytes) {
 
 void TransformerBatchDecoder::start_chunked(std::size_t slot,
                                             std::span<const int> prompt,
-                                            std::uint64_t seed,
+                                            std::uint64_t /*seed*/,
                                             std::size_t shared_prefix_tokens) {
   LMPEEL_CHECK(slot < caches_.size());
   LMPEEL_CHECK_MSG(sequences_[slot].empty(),
                    "start_chunked() on an occupied slot");
   LMPEEL_CHECK(!prompt.empty());
-  model_->set_seed(seed);  // TransformerLm ignores it; kept for parity
   caches_[slot].clear();
   std::size_t reused = 0;
   if (prefix_cache_ != nullptr) {
@@ -283,10 +282,7 @@ std::size_t GenericBatchDecoder::prefill_chunk(std::size_t slot,
   const std::size_t take = std::min(max_tokens, pending_prompt_[slot]);
   pending_prompt_[slot] -= take;
   *done = pending_prompt_[slot] == 0;
-  if (*done) {
-    model_->set_seed(seeds_[slot]);
-    model_->next_logits(contexts_[slot], out);
-  }
+  if (*done) model_->next_logits(contexts_[slot], seeds_[slot], out);
   return take;
 }
 
@@ -306,10 +302,7 @@ void GenericBatchDecoder::step(std::span<const Step> steps,
                      "step() on a slot still prefilling");
     contexts_[s.slot].push_back(s.token);
     settle(s.slot);
-    // Re-seed before every call: interleaved requests must each see the
-    // model in the same state lm::generate would have left it in.
-    model_->set_seed(seeds_[s.slot]);
-    model_->next_logits(contexts_[s.slot], logits.row(i));
+    model_->next_logits(contexts_[s.slot], seeds_[s.slot], logits.row(i));
   }
 }
 

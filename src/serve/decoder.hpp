@@ -14,8 +14,8 @@
 //    rows of a batched step are independent, so the split preserves the
 //    bit-for-bit equivalence with sequential next_logits().
 //  * GenericBatchDecoder — works with any LanguageModel by keeping a full
-//    context per slot and looping next_logits (no batching speedup; lets
-//    the engine serve InductionLm-backed sweeps and tuners).  A prefill
+//    context and seed per slot and looping next_logits (no batching
+//    speedup; lets the engine serve InductionLm-backed tuners).  A prefill
 //    chunk only moves a cursor; the final one runs next_logits.
 #pragma once
 
@@ -123,11 +123,11 @@ class BatchDecoder {
   virtual bool supports_chunked_prefill() const { return true; }
   /// Binds `prompt` to `slot` (must be free) but runs no model forward:
   /// the prompt is prefilled by subsequent prefill_chunk() calls, so one
-  /// long prompt cannot stall a whole tick.  `seed` reseeds model-internal
-  /// stochasticity for this request, mirroring lm::generate's
-  /// model.set_seed call.  `shared_prefix_tokens` forwards
-  /// Request::shared_prefix_tokens — a prefix-cache insertion hint
-  /// implementations may ignore.
+  /// long prompt cannot stall a whole tick.  `seed` is the request's
+  /// GenerateOptions::seed; a decoder over a seeded model passes it to
+  /// every next_logits call of the request, as lm::generate does.
+  /// `shared_prefix_tokens` forwards Request::shared_prefix_tokens — a
+  /// prefix-cache insertion hint implementations may ignore.
   virtual void start_chunked(std::size_t slot, std::span<const int> prompt,
                              std::uint64_t seed,
                              std::size_t shared_prefix_tokens = 0) = 0;
@@ -286,8 +286,8 @@ class GenericBatchDecoder final : public BatchDecoder {
                      std::uint64_t seed,
                      std::size_t shared_prefix_tokens = 0) override;
   /// Replay has no incremental state: a chunk only advances the slot's
-  /// cursor, and the final chunk reseeds the model and runs next_logits
-  /// over the whole prompt — the exact call lm::generate makes.
+  /// cursor, and the final chunk runs next_logits over the whole prompt
+  /// with the slot's seed — the exact call lm::generate makes.
   std::size_t prefill_chunk(std::size_t slot, std::size_t max_tokens,
                             std::span<float> out, bool* done) override;
 

@@ -455,8 +455,8 @@ void Engine::admit(std::vector<float>& logits_scratch) {
     active.reserved_bytes = cost;
     active.inserts_shared_prefix = reused < shared;
     free_slots_.pop_back();
-    // Same sampling stream as lm::generate: Rng(seed, 0x5a3c), model
-    // reseeded via decoder.start_chunked before the prefill.
+    // Same sampling stream as lm::generate: Rng(seed, 0x5a3c); the decoder
+    // got the same seed for its model calls in start_chunked.
     active.rng = util::Rng(active.request.options.seed, /*stream=*/0x5a3c);
     const double queue_wait_s = seconds_since(active.submitted, now);
     reg.histogram("serve.queue_wait_s").record(queue_wait_s);

@@ -270,12 +270,12 @@ perf::Syr2kConfig LlamboTuner::propose_generative(util::Rng& rng) {
                                   "\nPerformance class:",
                               ids);
     ids.push_back(tok::kAssistant);
-    model_->set_seed(util::hash_combine(proposal_counter_, c));
+    const std::uint64_t seed = util::hash_combine(proposal_counter_, c);
     std::vector<double> log_probs(k);
     double lse_max = -std::numeric_limits<double>::infinity();
     for (std::size_t cls = 0; cls < k; ++cls) {
       log_probs[cls] =
-          lm::sequence_log_probability(*model_, ids, label_ids[cls]);
+          lm::sequence_log_probability(*model_, ids, label_ids[cls], seed);
       lse_max = std::max(lse_max, log_probs[cls]);
     }
     double z = 0.0, expectation = 0.0;

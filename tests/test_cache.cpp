@@ -167,7 +167,7 @@ TEST(KvCachePrivatePool, ForkKeepsTheSourcesPrivatePoolAlive) {
   // The source (the pool's first owner) is gone; the fork's shared pages
   // and pool must still be valid.
   model.prefill_from(fork, std::span<const int>(prompt).last(1), got);
-  model.next_logits(prompt, want);
+  model.next_logits(prompt, /*seed=*/0, want);
   EXPECT_EQ(want, got);
 }
 

@@ -114,10 +114,8 @@ TEST_F(ConstrainFixture, PromptSectionIsUnconstrained) {
   const auto ids = tz().encode("alpha beta gamma alpha beta");
   std::vector<float> masked(constrained.vocab_size());
   std::vector<float> plain(constrained.vocab_size());
-  constrained.set_seed(0);
-  constrained.next_logits(ids, masked);
-  pipeline().model().set_seed(0);
-  pipeline().model().next_logits(ids, plain);
+  constrained.next_logits(ids, /*seed=*/0, masked);
+  pipeline().model().next_logits(ids, /*seed=*/0, plain);
   for (std::size_t v = 0; v < plain.size(); ++v) {
     EXPECT_FLOAT_EQ(masked[v], plain[v]);
   }

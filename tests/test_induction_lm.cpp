@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <thread>
 
 #include "lm/generate.hpp"
 #include "perf/dataset.hpp"
@@ -14,7 +16,7 @@ namespace {
 
 /// Shared fixture: SM dataset + tokenizer + prompt builder.
 class InductionFixture : public ::testing::Test {
- protected:
+ public:
   static perf::Dataset& data() {
     static perf::Dataset d =
         perf::Dataset::generate(perf::Syr2kModel{}, perf::SizeClass::SM, 42);
@@ -119,10 +121,8 @@ TEST_F(InductionFixture, SeedsShareCandidateSetsWithJitteredLogits) {
   ids.push_back(tokenizer().space_token());
 
   std::vector<float> logits_a(model.vocab_size()), logits_b(model.vocab_size());
-  model.set_seed(1);
-  model.next_logits(ids, logits_a);
-  model.set_seed(2);
-  model.next_logits(ids, logits_b);
+  model.next_logits(ids, /*seed=*/1, logits_a);
+  model.next_logits(ids, /*seed=*/2, logits_b);
 
   std::size_t support = 0;
   double max_delta = 0.0;
@@ -149,7 +149,7 @@ TEST_F(InductionFixture, SmFirstValueTokenIsDeterministicZero) {
   auto ids = builder.encode(tokenizer(), icl, data()[77].config);
   ids.push_back(tokenizer().space_token());
   std::vector<float> logits(model.vocab_size());
-  model.next_logits(ids, logits);
+  model.next_logits(ids, /*seed=*/0, logits);
   std::vector<float> probs(logits.size());
   probabilities(logits, probs);
   std::size_t selectable = 0;
@@ -172,7 +172,7 @@ TEST_F(InductionFixture, DotPositionIsForced) {
   ids.push_back(tokenizer().space_token());
   ids.push_back(tokenizer().vocab().number_token("0"));
   std::vector<float> logits(model.vocab_size());
-  model.next_logits(ids, logits);
+  model.next_logits(ids, /*seed=*/0, logits);
   EXPECT_EQ(sample_greedy(logits), tokenizer().dot_token());
 }
 
@@ -223,7 +223,7 @@ TEST_F(InductionFixture, TextModeParrotsRepeatedPatterns) {
   InductionLm model(tokenizer());
   const auto abc = tokenizer().encode("alpha beta gamma alpha beta");
   std::vector<float> logits(model.vocab_size());
-  model.next_logits(abc, logits);
+  model.next_logits(abc, /*seed=*/0, logits);
   const int next = sample_greedy(logits);
   const auto gamma_ids = tokenizer().encode(" gamma");
   EXPECT_EQ(next, gamma_ids[0]);
@@ -237,7 +237,7 @@ TEST_F(InductionFixture, EosAfterCompletedValue) {
   // Simulate a completed response: " 0.0023\n"
   for (const int t : tokenizer().encode(" 0.0023\n")) ids.push_back(t);
   std::vector<float> logits(model.vocab_size());
-  model.next_logits(ids, logits);
+  model.next_logits(ids, /*seed=*/0, logits);
   EXPECT_EQ(sample_greedy(logits), tok::kEos);
 }
 
@@ -268,6 +268,64 @@ TEST_P(IclCountSweep, ParsesAndStaysInDomain) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, IclCountSweep,
                          ::testing::Values(1, 2, 5, 10, 25, 50, 100));
+
+TEST(InductionLm, ConcurrentSeededCallsMatchSerial) {
+  // The seed is an argument, not model state: four threads share one
+  // model, each with its own seed, and every row must carry the same bits
+  // as the serial call.  Contexts walk prompts of 5, 25 and 100 examples
+  // token by token through a sampled response (text and number modes).
+  const tok::Tokenizer& tz = InductionFixture::tokenizer();
+  InductionLm model(tz);
+  const prompt::PromptBuilder builder(perf::SizeClass::SM);
+  std::vector<std::vector<int>> contexts;
+  for (const std::size_t icl : {5u, 25u, 100u}) {
+    std::vector<int> context =
+        builder.encode(tz, InductionFixture::examples(icl, icl),
+                       InductionFixture::data()[icl * 7].config);
+    GenerateOptions opt;
+    opt.stop_token = tz.newline_token();
+    opt.max_tokens = 12;
+    opt.seed = icl;
+    const Generation gen = generate(model, context, opt);
+    contexts.push_back(context);
+    for (const int token : gen.tokens) {
+      context.push_back(token);
+      contexts.push_back(context);
+    }
+  }
+
+  constexpr std::size_t kThreads = 4;
+  const auto seed_of = [](std::size_t t) { return 0x5eed0 + t; };
+  const auto vocab = static_cast<std::size_t>(model.vocab_size());
+  std::vector<std::vector<float>> rows(kThreads * contexts.size(),
+                                       std::vector<float>(vocab));
+  {
+    std::vector<std::jthread> threads;  // joined at the end of the block
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t c = 0; c < contexts.size(); ++c) {
+          model.next_logits(contexts[c], seed_of(t),
+                            rows[t * contexts.size() + c]);
+        }
+      });
+    }
+  }
+
+  std::vector<float> want(vocab);
+  std::size_t seed_sensitive = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t c = 0; c < contexts.size(); ++c) {
+      const std::vector<float>& got = rows[t * contexts.size() + c];
+      model.next_logits(contexts[c], seed_of(t), want);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), vocab * sizeof(float)),
+                0)
+          << "thread " << t << ", context " << c;
+      if (t > 0 && got != rows[c]) ++seed_sensitive;
+    }
+  }
+  // The seeds must actually reach the logits, or the check above is empty.
+  EXPECT_GT(seed_sensitive, 0u);
+}
 
 }  // namespace
 }  // namespace lmpeel::lm

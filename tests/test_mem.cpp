@@ -240,7 +240,7 @@ TEST(PagedTransformer, PrefillAndDecodeBatchMatchNextLogitsBitForBit) {
       paged[b].attach_pool(&pool);
       // Ragged lengths straddling page boundaries (3..3+batch tokens).
       contexts[b] = test_prompt(3 + b, /*salt=*/b, cfg.vocab);
-      model.next_logits(contexts[b], want);
+      model.next_logits(contexts[b], /*seed=*/0, want);
       model.prefill(paged[b], contexts[b], got);
       for (std::size_t i = 0; i < vocab; ++i) {
         ASSERT_EQ(want[i], got[i])
@@ -261,7 +261,7 @@ TEST(PagedTransformer, PrefillAndDecodeBatchMatchNextLogitsBitForBit) {
       }
       model.decode_batch(paged_ptrs, tokens, paged_out);
       for (std::size_t b = 0; b < batch; ++b) {
-        model.next_logits(contexts[b], want);
+        model.next_logits(contexts[b], /*seed=*/0, want);
         for (std::size_t i = 0; i < vocab; ++i) {
           ASSERT_EQ(want[i], paged_out.at(b, i))
               << "decode logit " << i << " diverged at batch " << batch
@@ -333,7 +333,7 @@ void expect_paged_attention_matches_next_logits(lm::TransformerConfig cfg,
   std::vector<float> want(vocab), got(vocab);
 
   for (std::size_t len = 1; len <= prompt.size(); ++len) {
-    serial.next_logits(first(len), want);
+    serial.next_logits(first(len), /*seed=*/0, want);
     lm::KvCache cache;
     cache.attach_pool(&pool);
     model.prefill(cache, first(len), got);
@@ -347,7 +347,7 @@ void expect_paged_attention_matches_next_logits(lm::TransformerConfig cfg,
   model.prefill(source, first(48), got);
   for (const std::size_t prefix_len : {5u, 8u, 16u, 21u, 32u, 47u}) {
     const std::size_t len = prefix_len + 19;
-    serial.next_logits(first(len), want);
+    serial.next_logits(first(len), /*seed=*/0, want);
     lm::KvCache hit;
     hit.attach_pool(&pool);
     hit.copy_prefix(source, prefix_len);
@@ -377,7 +377,7 @@ void expect_paged_attention_matches_next_logits(lm::TransformerConfig cfg,
     }
     model.decode_batch(cache_ptrs, tokens, out);
     for (std::size_t b = 0; b < lengths.size(); ++b) {
-      serial.next_logits(contexts[b], want);
+      serial.next_logits(contexts[b], /*seed=*/0, want);
       ASSERT_EQ(want, std::vector<float>(out.row(b).begin(), out.row(b).end()))
           << "decode step " << step << " of a " << lengths[b]
           << "-token context";

@@ -126,10 +126,8 @@ TEST_F(HookFixture, HookLeavesNonPerformancePromptsAlone) {
   ids.push_back(tok::kAssistant);
   std::vector<float> hooked_logits(hooked.vocab_size());
   std::vector<float> base_logits(hooked.vocab_size());
-  hooked.set_seed(0);
-  hooked.next_logits(ids, hooked_logits);
-  pipeline().model().set_seed(0);
-  pipeline().model().next_logits(ids, base_logits);
+  hooked.next_logits(ids, /*seed=*/0, hooked_logits);
+  pipeline().model().next_logits(ids, /*seed=*/0, base_logits);
   for (std::size_t v = 0; v < base_logits.size(); ++v) {
     EXPECT_FLOAT_EQ(hooked_logits[v], base_logits[v]);
   }

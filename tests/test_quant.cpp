@@ -205,7 +205,7 @@ TEST(QuantizedLm, Int8LogitsBitIdenticalAcrossArchs) {
   for (const Arch arch : supported_archs()) {
     QuantizedLm q(source, WeightFormat::kInt8, arch);
     std::vector<float> logits(q.vocab_size());
-    q.next_logits(prompt, logits);
+    q.next_logits(prompt, /*seed=*/0, logits);
     per_arch.push_back(std::move(logits));
   }
   for (std::size_t i = 1; i < per_arch.size(); ++i) {
@@ -219,11 +219,11 @@ TEST(QuantizedLm, LogitsTrackF32WithinQuantizationError) {
   lm::TransformerLm source(tiny_config(), 23);
   const std::vector<int> prompt{2, 5, 11, 5, 2, 40};
   std::vector<float> f32(source.vocab_size());
-  source.next_logits(prompt, f32);
+  source.next_logits(prompt, /*seed=*/0, f32);
   for (const WeightFormat format : {WeightFormat::kInt8, WeightFormat::kFp16}) {
     QuantizedLm q(source, format);
     std::vector<float> ql(q.vocab_size());
-    q.next_logits(prompt, ql);
+    q.next_logits(prompt, /*seed=*/0, ql);
     float max_drift = 0.0f;
     for (int v = 0; v < source.vocab_size(); ++v) {
       max_drift = std::max(max_drift, std::abs(ql[v] - f32[v]));

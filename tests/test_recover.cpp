@@ -280,7 +280,7 @@ TEST(SpillStore, EvictedPrefixReloadsBitIdentical) {
   std::vector<int> context = prompt;
   context.push_back(7);
   std::vector<float> want(static_cast<std::size_t>(model.vocab_size()));
-  model.next_logits(context, want);
+  model.next_logits(context, /*seed=*/0, want);
   const std::size_t bytes_per_token =
       2 * static_cast<std::size_t>(model.config().n_layer) *
       static_cast<std::size_t>(model.config().d_model) * sizeof(float);

@@ -57,8 +57,8 @@ TEST(TransformerSerialization, RoundTripReproducesLogits) {
 
   const std::vector<int> ctx{5, 9, 2, 7};
   std::vector<float> a(80), b(80);
-  original.next_logits(ctx, a);
-  restored.next_logits(ctx, b);
+  original.next_logits(ctx, /*seed=*/0, a);
+  restored.next_logits(ctx, /*seed=*/0, b);
   for (int v = 0; v < 80; ++v) EXPECT_FLOAT_EQ(a[v], b[v]);
 }
 

@@ -343,7 +343,7 @@ TEST(ServeEngine, ShutdownDrainsInFlightAndFailsQueued) {
 }
 
 TEST(ServeEngine, GenericDecoderServesInterleavedSeedsDeterministically) {
-  // The replay decoder reseeds per request, so engines with different
+  // The replay decoder passes each request's seed, so engines with different
   // batch settings and prefill chunk sizes must all reproduce serial
   // lm::generate for the same requests.
   lm::TransformerLm model(tiny_config(), 9);

@@ -71,11 +71,11 @@ TEST(Transformer, CausalityHoldsAtInference) {
   TransformerLm model(tiny_config(30), 3);
   const std::vector<int> prefix{5, 6, 7};
   std::vector<float> a(30), b(30);
-  model.next_logits(prefix, a);
+  model.next_logits(prefix, /*seed=*/0, a);
   // next_logits only sees the context it is given, so recompute with the
   // same tokens to confirm determinism (causality is structural: attention
   // is masked to u <= t).
-  model.next_logits(prefix, b);
+  model.next_logits(prefix, /*seed=*/0, b);
   for (int v = 0; v < 30; ++v) EXPECT_FLOAT_EQ(a[v], b[v]);
 }
 
@@ -105,7 +105,7 @@ TEST(Transformer, ContextWindowCropsOldTokens) {
   TransformerLm model(cfg, 5);
   std::vector<int> lengthy(30, 3);
   std::vector<float> out(20);
-  EXPECT_NO_THROW(model.next_logits(lengthy, out));
+  EXPECT_NO_THROW(model.next_logits(lengthy, /*seed=*/0, out));
 }
 
 TEST(Transformer, KvCacheMatchesFullForward) {
@@ -118,10 +118,10 @@ TEST(Transformer, KvCacheMatchesFullForward) {
 
   TransformerLm::KvCache cache;
   model.prefill_from(cache, std::span<const int>(seq).subspan(0, 3), cached);
-  model.next_logits(std::span<const int>(seq).subspan(0, 3), full);
+  model.next_logits(std::span<const int>(seq).subspan(0, 3), /*seed=*/0, full);
   EXPECT_EQ(full, cached);
   model.prefill_from(cache, std::span<const int>(seq).subspan(3, 1), cached);
-  model.next_logits(std::span<const int>(seq).subspan(0, 4), full);
+  model.next_logits(std::span<const int>(seq).subspan(0, 4), /*seed=*/0, full);
   EXPECT_EQ(full, cached);
 
   TransformerLm::KvCache* ptr = &cache;
@@ -129,7 +129,8 @@ TEST(Transformer, KvCacheMatchesFullForward) {
   for (std::size_t t = 4; t < seq.size(); ++t) {
     model.decode_batch(std::span<TransformerLm::KvCache* const>(&ptr, 1),
                        std::span<const int>(&seq[t], 1), step);
-    model.next_logits(std::span<const int>(seq).subspan(0, t + 1), full);
+    model.next_logits(std::span<const int>(seq).subspan(0, t + 1),
+                      /*seed=*/0, full);
     for (std::size_t v = 0; v < 60; ++v) {
       ASSERT_EQ(full[v], step.at(0, v)) << "position " << t;
     }
@@ -145,7 +146,7 @@ TEST(Transformer, PrefillMatchesNextLogitsBitForBit) {
   std::vector<float> full(60), prefilled(60);
   TransformerLm::KvCache cache;
   model.prefill(cache, seq, prefilled);
-  model.next_logits(seq, full);
+  model.next_logits(seq, /*seed=*/0, full);
   EXPECT_EQ(cache.length(), seq.size());
   for (int v = 0; v < 60; ++v) {
     ASSERT_EQ(full[v], prefilled[v]) << "vocab " << v;
@@ -184,7 +185,7 @@ TEST(Transformer, DecodeBatchMatchesFullForwardBitForBit) {
     model.decode_batch(cache_ptrs, next, logits);
     for (std::size_t b = 0; b < batch; ++b) {
       contexts[b].push_back(next[b]);
-      model.next_logits(contexts[b], full);
+      model.next_logits(contexts[b], /*seed=*/0, full);
       for (int v = 0; v < 60; ++v) {
         ASSERT_EQ(full[v], logits.at(b, static_cast<std::size_t>(v)))
             << "step " << step << " sequence " << b << " vocab " << v;
@@ -204,7 +205,7 @@ TEST(Transformer, DecodeBatchMatchesFullForwardBitForBit) {
                      one, solo_logits);
   std::vector<int> ctx = prompts[0];
   ctx.push_back(7);
-  model.next_logits(ctx, full);
+  model.next_logits(ctx, /*seed=*/0, full);
   for (int v = 0; v < 60; ++v) {
     ASSERT_EQ(full[v], solo_logits.at(0, static_cast<std::size_t>(v)));
   }

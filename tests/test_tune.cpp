@@ -197,8 +197,8 @@ TEST_F(LlamboFixture, DiscriminativeModeCompletesCampaign) {
 
 TEST_F(LlamboFixture, EngineBackedCampaignMatchesDirectGeneration) {
   // Routing the surrogate generations through a serve::Engine must not
-  // change the campaign at all: the replay decoder reseeds the model per
-  // request, so every proposal evaluates identically.
+  // change the campaign at all: the replay decoder passes each request's
+  // seed to the model, so every proposal evaluates identically.
   const auto run = [&](serve::Engine* engine) {
     LlamboOptions options;
     options.mode = LlamboMode::Discriminative;

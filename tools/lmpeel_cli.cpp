@@ -770,8 +770,8 @@ int cmd_quant_check(int argc, char** argv) {
     id = static_cast<int>(rng.uniform_int(5, config.vocab - 1));
   }
   std::vector<float> f32_logits(config.vocab), q_logits(config.vocab);
-  model.next_logits(prompt, f32_logits);
-  quantized.next_logits(prompt, q_logits);
+  model.next_logits(prompt, /*seed=*/0, f32_logits);
+  quantized.next_logits(prompt, /*seed=*/0, q_logits);
   float max_drift = 0.0f;
   double sq = 0.0;
   int argmax_f32 = 0, argmax_q = 0;
