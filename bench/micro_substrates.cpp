@@ -105,16 +105,19 @@ void BM_TiedHead(benchmark::State& state) {
 }
 BENCHMARK(BM_TiedHead)->Arg(1)->Arg(8)->Arg(32);
 
-// Attention of one query over n cached positions (lm::attend_row) at the
-// serving shape — head dim 64, K/V rows of d_model 128 — gathered from
-// 16-row page spans: the per-head cost a long ICL block puts on every
-// prefill row and decode step.
-void BM_AttendRow(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+// Attention of R query rows over the same n cached positions
+// (lm::attend_rows) at the serving shape — head dim 64, K/V rows of d_model
+// 128 — gathered from 16-row page spans: the per-head cost a long ICL block
+// puts on a decode step's sibling rows (R = 8) or a prefill chunk (R = 24),
+// against a lone row (R = 1).  Items are row-keys, so items/s compares the
+// per-row cost across R.
+void BM_AttendRows(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
   constexpr std::size_t kHeadDim = 64, kStride = 128, kPageRows = 16;
   util::Rng rng(13);
   const std::size_t pages = (n + kPageRows - 1) / kPageRows;
-  lm::Tensor q(1, kHeadDim), k(pages * kPageRows, kStride),
+  lm::Tensor q(rows, kHeadDim), k(pages * kPageRows, kStride),
       v(pages * kPageRows, kStride);
   q.randomize(rng, 1.0f);
   k.randomize(rng, 1.0f);
@@ -124,17 +127,21 @@ void BM_AttendRow(benchmark::State& state) {
     spans.push_back({k.data() + p * kPageRows * kStride,
                      v.data() + p * kPageRows * kStride, kPageRows});
   }
-  std::vector<float> prow(n), ctx(kHeadDim);
+  lm::Tensor prow(rows, n), ctx(rows, kHeadDim);
+  std::vector<lm::AttendQuery> queries;
+  for (std::size_t r = 0; r < rows; ++r) {
+    queries.push_back({q.row(r).data(), spans, n, prow.row(r).data(),
+                       ctx.row(r).data()});
+  }
   for (auto _ : state) {
-    lm::attend_row(q.data(), spans.data(), spans.size(), kStride,
-                   /*head_off=*/kHeadDim, n, kHeadDim, 0.125f, prow.data(),
-                   ctx.data());
+    lm::attend_rows(queries, kStride, /*head_off=*/kHeadDim, kHeadDim, 0.125f);
     benchmark::DoNotOptimize(ctx.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * rows * n));
 }
-BENCHMARK(BM_AttendRow)->Arg(16)->Arg(80)->Arg(300)->Arg(800);
+BENCHMARK(BM_AttendRows)->ArgsProduct({{1, 8, 24}, {80, 1000}});
 
 // One temperature-0.8 draw over a full-vocabulary logit row, the per-token
 // sampling cost of a sampled (non-greedy) request.

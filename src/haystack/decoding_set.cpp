@@ -76,6 +76,7 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
   struct StepCands {
     std::vector<const lm::Candidate*> cands;
     std::vector<double> probs;  // renormalised
+    double draw_total = 0.0;    // Rng::categorical_total(probs)
   };
   std::vector<StepCands> steps;
   steps.reserve(last - first);
@@ -128,6 +129,11 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
     };
     dfs(0, 1.0);
   } else {
+    // Each step's draw total is summed once, not on every path.
+    for (StepCands& sc : steps) {
+      sc.draw_total =
+          util::Rng::categorical_total(sc.probs.data(), sc.probs.size());
+    }
     util::Rng rng(options.seed, 0x4a57);
     const double sample_weight =
         1.0 / static_cast<double>(options.mc_samples);
@@ -136,7 +142,8 @@ DecodingSet build_decoding_set(const lm::GenerationTrace& trace,
       bool terminated = false;
       for (std::size_t s = 0; s < steps.size() && !terminated; ++s) {
         const std::size_t c =
-            rng.categorical(steps[s].probs.data(), steps[s].probs.size());
+            rng.categorical(steps[s].probs.data(), steps[s].probs.size(),
+                            steps[s].draw_total);
         const lm::Candidate* cand = steps[s].cands[c];
         if (is_value_token(tokenizer, cand->token)) {
           text += tokenizer.token_text(cand->token);

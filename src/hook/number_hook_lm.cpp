@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <thread>
 
 #include "lm/sampler.hpp"
 #include "prompt/parser.hpp"
@@ -24,6 +26,7 @@ std::uint64_t prompt_key(std::span<const int> prompt) {
 }
 
 constexpr float kForceLogit = 16.0f;  // exp(16) dominates everything real
+constexpr std::size_t kMemoEntries = 256;
 
 }  // namespace
 
@@ -66,7 +69,11 @@ std::optional<double> GbtNumberGenerator::generate(
 NumberHookLm::NumberHookLm(LanguageModel& base,
                            const tok::Tokenizer& tokenizer,
                            NumberGenerator& generator)
-    : base_(&base), tokenizer_(&tokenizer), generator_(&generator) {
+    : base_(&base),
+      tokenizer_(&tokenizer),
+      generator_(&generator),
+      memo_capacity_(std::max<std::size_t>(
+          kMemoEntries, std::thread::hardware_concurrency())) {
   marker_ = tokenizer_->encode("Performance:");
 }
 
@@ -105,21 +112,31 @@ void NumberHookLm::next_logits(std::span<const int> context,
 
   const std::span<const int> prompt = context.subspan(0, response_start);
   const std::uint64_t key = prompt_key(prompt);
+  // The generator runs under the lock, so a prompt is never fitted twice.
   const std::lock_guard lock(memo_mutex_);
-  if (!memo_valid_ || key != memo_key_) {
-    memo_key_ = key;
-    memo_value_tokens_.clear();
+  auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    memo_order_.splice(memo_order_.end(), memo_order_, it->second.order);
+  } else {
+    std::vector<int> value_tokens;
     const auto value = generator_->generate(tokenizer_->decode(prompt));
     if (value.has_value() && *value > 0.0) {
-      memo_value_tokens_ =
-          tokenizer_->encode(util::format_runtime(*value, 5));
+      value_tokens = tokenizer_->encode(util::format_runtime(*value, 5));
       ++invocations_;
     } else {
       ++fallbacks_;
     }
-    memo_valid_ = true;
+    if (memo_order_.size() == memo_capacity_) {
+      memo_.erase(memo_order_.front());
+      memo_order_.pop_front();
+    }
+    memo_order_.push_back(key);
+    it = memo_.emplace(key, MemoEntry{std::move(value_tokens),
+                                      std::prev(memo_order_.end())})
+             .first;
   }
-  if (memo_value_tokens_.empty()) return;  // generator fell back
+  const std::vector<int>& value_tokens = it->second.value_tokens;
+  if (value_tokens.empty()) return;  // generator fell back
 
   // Position within the value: the run of numeric/dot tokens at the end of
   // the context.
@@ -131,10 +148,10 @@ void NumberHookLm::next_logits(std::span<const int> context,
       break;
     }
   }
-  if (p >= memo_value_tokens_.size()) return;  // value done: base terminates
+  if (p >= value_tokens.size()) return;  // value done: base terminates
 
   std::fill(out.begin(), out.end(), kNegInf);
-  out[memo_value_tokens_[p]] = kForceLogit;
+  out[value_tokens[p]] = kForceLogit;
 }
 
 }  // namespace lmpeel::lm

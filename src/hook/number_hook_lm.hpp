@@ -23,10 +23,12 @@
 #pragma once
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "gbt/booster.hpp"
@@ -72,7 +74,9 @@ class GbtNumberGenerator final : public NumberGenerator {
 };
 
 /// LanguageModel wrapper implementing the hook.  Safe to call from several
-/// threads at once, as the §IV-A sweep does: the memo sits behind a mutex.
+/// threads at once, as the §IV-A sweep does: the memo sits behind a mutex,
+/// and it keeps one entry per prompt, so generations of different prompts
+/// may interleave without refitting the generator.
 class NumberHookLm final : public LanguageModel {
  public:
   /// All three collaborators must outlive the wrapper.
@@ -94,13 +98,21 @@ class NumberHookLm final : public LanguageModel {
   NumberGenerator* generator_;
   std::vector<int> marker_;
 
-  // Per-response memo: the value decided for the current response slot,
-  // keyed by the prompt fingerprint so repeated next_logits calls within
-  // one generation agree.
+  // Per-prompt memo: the value tokens decided for a prompt's response slot
+  // (empty when the generator fell back), keyed by the prompt fingerprint,
+  // so every next_logits call of a generation agrees and each prompt is
+  // fitted once.  Beyond memo_capacity_ entries the least recently used
+  // goes.  A running generation uses its entry on every step, so it is
+  // dropped only if memo_capacity_ (at least 256, and at least the host's
+  // thread count) other prompts are used between two of its steps.
+  struct MemoEntry {
+    std::vector<int> value_tokens;
+    std::list<std::uint64_t>::iterator order;
+  };
   std::mutex memo_mutex_;
-  std::uint64_t memo_key_ = 0;
-  std::vector<int> memo_value_tokens_;
-  bool memo_valid_ = false;
+  std::unordered_map<std::uint64_t, MemoEntry> memo_;
+  std::list<std::uint64_t> memo_order_;  // least recently used first
+  std::size_t memo_capacity_;
 
   std::atomic<std::size_t> invocations_{0};
   std::atomic<std::size_t> fallbacks_{0};

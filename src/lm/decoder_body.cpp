@@ -44,9 +44,22 @@ void run_blocks(const WeightOps& ops, const TransformerConfig& config,
     }
   }
 
+  // Row r of cache c attends over positions [0, base_c + t + 1); its
+  // probabilities get their own stretch of `probs`, since attend_rows
+  // takes every row of the call at once.
+  std::vector<std::size_t> lengths(rows);
+  std::size_t prob_floats = 0;
+  for (std::size_t c = 0; c < caches.size(); ++c) {
+    for (std::size_t t = 0; t < per_cache; ++t) {
+      lengths[c * per_cache + t] = caches[c]->length() + t + 1;
+      prob_floats += lengths[c * per_cache + t];
+    }
+  }
+  std::vector<float> probs(prob_floats);
+  std::vector<AttendQuery> queries(rows);
+
   LayerNormCache ln_scratch;
-  std::vector<float> prow;
-  std::vector<mem::KvSpan> spans;
+  std::vector<std::vector<mem::KvSpan>> spans(caches.size());
   for (std::size_t l = 0; l < n_layer; ++l) {
     const WeightOps::Norm ln1 = ops.norm(l, false);
     Tensor a(rows, d);
@@ -56,8 +69,7 @@ void run_blocks(const WeightOps& ops, const TransformerConfig& config,
 
     // Append every new K/V row before attending: row t of a cache must see
     // keys for positions [0, base+t], all of which are in the cache once
-    // its rows are appended (attend_row then reads a strict prefix).
-    Tensor ctx(rows, d);
+    // its rows are appended (each row then reads a prefix of the spans).
     for (std::size_t c = 0; c < caches.size(); ++c) {
       KvCache& cache = *caches[c];
       const std::size_t base = cache.length();
@@ -66,17 +78,19 @@ void run_blocks(const WeightOps& ops, const TransformerConfig& config,
         std::copy_n(row + d, d, cache.k_row(l, base + t));
         std::copy_n(row + 2 * d, d, cache.v_row(l, base + t));
       }
-      cache.spans(l, base + per_cache, spans);
-      for (std::size_t t = 0; t < per_cache; ++t) {
-        const std::size_t r = c * per_cache + t;
-        const std::size_t t_len = base + t + 1;
-        prow.resize(t_len);
-        for (std::size_t h = 0; h < n_head; ++h) {
-          attend_row(qkv.data() + r * 3 * d + h * hd, spans.data(),
-                     spans.size(), d, h * hd, t_len, hd, scale, prow.data(),
-                     ctx.data() + r * d + h * hd);
-        }
+      cache.spans(l, base + per_cache, spans[c]);
+    }
+    // One call per head with every row: rows of one cache, and caches
+    // sharing prefix pages, have those keys scored once for all of them.
+    Tensor ctx(rows, d);
+    for (std::size_t h = 0; h < n_head; ++h) {
+      float* prow = probs.data();
+      for (std::size_t r = 0; r < rows; ++r) {
+        queries[r] = {qkv.data() + r * 3 * d + h * hd, spans[r / per_cache],
+                      lengths[r], prow, ctx.data() + r * d + h * hd};
+        prow += lengths[r];
       }
+      attend_rows(queries, d, h * hd, hd, scale);
     }
 
     Tensor attn(rows, d);

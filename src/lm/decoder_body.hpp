@@ -1,11 +1,11 @@
 // The one inference layer loop every KvBackend runs (DESIGN.md §9/§17).
 //
-// embed → LN → QKV → K/V append → attend_row → out-proj → MLP → final LN →
+// embed → LN → QKV → K/V append → attend_rows → out-proj → MLP → final LN →
 // tied head, over rows of one cache (prefill_from) or one row per cache
 // (decode_batch).  The weight format enters only through WeightOps: the f32
 // TransformerLm passes its float kernels, quant::QuantizedLm its int8/fp16
 // ones.  Everything else — layer norms, GELU, residual adds, the shared
-// attend_row kernel and the paged KV append — is this one copy, so the
+// attend_rows kernel and the paged KV append — is this one copy, so the
 // backends differ in their weight products and in nothing else.
 #pragma once
 

@@ -1,9 +1,10 @@
 // Eight-float lane policies for the two SIMD kernel TUs: lm/tensor.cpp (the
-// tied head, lanes across activation rows) and lm/attention.cpp (attend_row,
-// lanes across keys).  Only those TUs include this header.  Both are built
-// with the same probed arch flags and -ffp-contract=off (src/CMakeLists.txt),
-// so mul and add stay separate operations (no FMA) and every lane rounds
-// exactly as the scalar expression `acc + a * b` does.
+// tied head, lanes across activation rows) and lm/attention.cpp
+// (attend_rows, lanes across keys).  Only those TUs include this header.
+// Both are built with the same probed arch flags and -ffp-contract=off
+// (src/CMakeLists.txt), so mul and add stay separate operations (no FMA)
+// and every lane rounds exactly as the scalar expression `acc + a * b`
+// does.
 #pragma once
 
 #include <algorithm>
@@ -20,11 +21,16 @@ struct Lanes8 {
   static constexpr std::size_t kWidth = 8;
   using V = __m256;
   static V zero() { return _mm256_setzero_ps(); }
+  static V set1(float x) { return _mm256_set1_ps(x); }
   static V load(const float* p) { return _mm256_loadu_ps(p); }
   static V mul(V a, float b) { return _mm256_mul_ps(a, _mm256_set1_ps(b)); }
   static V mul_add(V acc, V a, float b) {
     return _mm256_add_ps(acc, mul(a, b));
   }
+  static V sub(V a, float b) { return _mm256_sub_ps(a, _mm256_set1_ps(b)); }
+  /// Per lane std::max(acc, x), i.e. x > acc ? x : acc: MAXPS returns its
+  /// second operand when either is NaN, so a NaN x leaves acc as it is.
+  static V max(V acc, V x) { return _mm256_max_ps(x, acc); }
   static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
   /// Lane r of the result is k[r * stride].
   static V column(const float* k, std::size_t stride) {
@@ -62,6 +68,11 @@ struct PortableLanes {
     float x[kWidth];
   };
   static V zero() { return V{}; }
+  static V set1(float x) {
+    V v;
+    std::fill_n(v.x, kWidth, x);
+    return v;
+  }
   static V load(const float* p) {
     V v;
     std::copy_n(p, kWidth, v.x);
@@ -73,6 +84,16 @@ struct PortableLanes {
   }
   static V mul_add(V acc, V a, float b) {
     for (std::size_t l = 0; l < kWidth; ++l) acc.x[l] += a.x[l] * b;
+    return acc;
+  }
+  static V sub(V a, float b) {
+    for (float& x : a.x) x -= b;
+    return a;
+  }
+  static V max(V acc, V x) {
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      acc.x[l] = std::max(acc.x[l], x.x[l]);
+    }
     return acc;
   }
   static void store(float* p, V v) { std::copy_n(v.x, kWidth, p); }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "lm/attention.hpp"
 #include "obs/span.hpp"
@@ -32,7 +33,7 @@ void bias_grad(const Tensor& dy, Tensor& db) {
 }
 
 // The per-row kernels shared between forward(), the inference body and the
-// quantized backend (attend_row / embed_row) live in lm/attention.cpp — one
+// quantized backend (attend_rows / embed_row) live in lm/attention.cpp — one
 // noinline copy for every caller, whose SIMD lanes each compute a key's
 // serial dot product, which is what the bit-identity guarantees rest on.
 // The tied head is matmul_transposed_b (lm/tensor.cpp), whose every output
@@ -166,16 +167,18 @@ void TransformerLm::forward(std::span<const int> ids, Cache* cache,
     // at position 0's K/V slice, rows 3·d floats apart.
     const mem::KvSpan qkv_span{lc.qkv.data() + d, lc.qkv.data() + 2 * d,
                                t_len};
+    std::vector<AttendQuery> queries(t_len);
     for (std::size_t h = 0; h < n_head; ++h) {
       Tensor& probs = lc.probs[h];
-      // Zero-initialised; attend_row fills [0, t] per row, the causal
+      // Zero-initialised; attend_rows fills [0, t] of row t, the causal
       // remainder stays zero.
       probs = Tensor(t_len, t_len);
       for (std::size_t t = 0; t < t_len; ++t) {
-        attend_row(lc.qkv.data() + t * 3 * d + h * hd, &qkv_span, 1, 3 * d,
-                   h * hd, t + 1, hd, scale, probs.data() + t * t_len,
-                   lc.ctx.data() + t * d + h * hd);
+        queries[t] = {lc.qkv.data() + t * 3 * d + h * hd, {&qkv_span, 1},
+                      t + 1, probs.data() + t * t_len,
+                      lc.ctx.data() + t * d + h * hd};
       }
+      attend_rows(queries, 3 * d, h * hd, hd, scale);
     }
 
     Tensor attn(t_len, d);

@@ -90,7 +90,7 @@ bool Rng::bernoulli(double p) noexcept {
   return uniform() < p;
 }
 
-std::size_t Rng::categorical(const double* weights, std::size_t n) {
+double Rng::categorical_total(const double* weights, std::size_t n) {
   LMPEEL_CHECK(n > 0);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -98,6 +98,15 @@ std::size_t Rng::categorical(const double* weights, std::size_t n) {
     total += weights[i];
   }
   LMPEEL_CHECK_MSG(total > 0.0, "all categorical weights are zero");
+  return total;
+}
+
+std::size_t Rng::categorical(const double* weights, std::size_t n) {
+  return categorical(weights, n, categorical_total(weights, n));
+}
+
+std::size_t Rng::categorical(const double* weights, std::size_t n,
+                             double total) {
   double r = uniform() * total;
   for (std::size_t i = 0; i < n; ++i) {
     r -= weights[i];

@@ -65,6 +65,11 @@ class Rng {
   /// Samples an index in [0, weights_size) proportionally to weights.
   /// All weights must be >= 0 and at least one must be > 0.
   std::size_t categorical(const double* weights, std::size_t n);
+  /// The same draw given `total` = categorical_total(weights, n), for a
+  /// caller drawing from one weight vector many times.
+  std::size_t categorical(const double* weights, std::size_t n, double total);
+  /// The weights' sum in index order, checked as categorical checks it.
+  static double categorical_total(const double* weights, std::size_t n);
 
   /// Raw xoshiro256** state, for checkpointing a generator mid-stream.
   /// Restoring a saved state resumes the exact draw sequence.

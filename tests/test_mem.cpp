@@ -316,7 +316,7 @@ TEST(PagedTransformer, SharedPrefixSuffixPrefillMatchesFullPrefill) {
   }
 }
 
-// attend_row's SIMD lanes take 8 keys of one page span at a time, and a
+// attend_rows' SIMD lanes take 8 keys of one page span at a time, and a
 // span's leftover rows go serially.  Contexts of 1..70 tokens cross whole
 // lane groups, leftovers of every length and page edges — in prefill, in
 // prefix-hit suffixes and in batched decode.

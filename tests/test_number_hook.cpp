@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+#include <numeric>
+#include <thread>
+
 #include "core/pipeline.hpp"
 #include "lm/generate.hpp"
 #include "prompt/parser.hpp"
@@ -132,6 +137,129 @@ TEST_F(HookFixture, HookLeavesNonPerformancePromptsAlone) {
     EXPECT_FLOAT_EQ(hooked_logits[v], base_logits[v]);
   }
   EXPECT_EQ(hooked.hook_invocations(), 0u);
+}
+
+// Counts generate() calls per prompt text around the reference generator.
+class CountingGenerator final : public NumberGenerator {
+ public:
+  std::optional<double> generate(const std::string& prompt_text) override {
+    {
+      const std::lock_guard lock(mutex_);
+      ++calls_[prompt_text];
+    }
+    return inner_.generate(prompt_text);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::map<std::string, int> calls() const {
+    const std::lock_guard lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  GbtNumberGenerator inner_;
+  mutable std::mutex mutex_;
+  std::map<std::string, int> calls_;
+};
+
+TEST_F(HookFixture, InterleavedPromptsAreFittedOnce) {
+  // Four threads share one hooked model and walk six prompts, each thread
+  // in its own order and twice over, so generations of different prompts
+  // interleave.  Every prompt is fitted exactly once, and every thread
+  // gets the same response per prompt.
+  const auto builder = pipeline().builder(perf::SizeClass::SM);
+  const auto& data = pipeline().dataset(perf::SizeClass::SM);
+  const auto icl = examples(25);
+  std::vector<std::vector<int>> prompts;
+  for (const std::size_t qi : {100u, 900u, 2500u, 3300u, 7777u, 9100u}) {
+    prompts.push_back(
+        builder.encode(pipeline().tokenizer(), icl, data[qi].config));
+  }
+
+  CountingGenerator generator;
+  NumberHookLm hooked(pipeline().model(), pipeline().tokenizer(), generator);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<int>>> responses(
+      kThreads, std::vector<std::vector<int>>(prompts.size()));
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::size_t> order(prompts.size());
+        std::iota(order.begin(), order.end(), 0);
+        util::Rng rng(100 + t);
+        for (int round = 0; round < 2; ++round) {
+          rng.shuffle(order.begin(), order.end());
+          for (const std::size_t p : order) {
+            GenerateOptions opt;
+            opt.sampler = {1.0, 0, 1.0};
+            opt.stop_token = pipeline().tokenizer().newline_token();
+            opt.seed = 3;
+            responses[t][p] = lm::generate(hooked, prompts[p], opt).tokens;
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(hooked.hook_invocations() + hooked.hook_fallbacks(),
+            prompts.size());
+  EXPECT_EQ(hooked.hook_invocations(), prompts.size());
+  const auto calls = generator.calls();
+  EXPECT_EQ(calls.size(), prompts.size());
+  for (const auto& [text, count] : calls) EXPECT_EQ(count, 1);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(responses[t], responses[0]) << "thread " << t;
+  }
+}
+
+// A base model whose top token is always a digit group, so the hook looks
+// its memo up on every call that ends a "Performance:" prompt.
+class DigitBase final : public LanguageModel {
+ public:
+  DigitBase(int vocab, int digit) : vocab_(vocab), digit_(digit) {}
+  int vocab_size() const override { return vocab_; }
+  void next_logits(std::span<const int>, std::uint64_t,
+                   std::span<float> out) override {
+    std::fill(out.begin(), out.end(), 0.0f);
+    out[digit_] = 1.0f;
+  }
+  std::string name() const override { return "digit"; }
+
+ private:
+  int vocab_, digit_;
+};
+
+TEST_F(HookFixture, MemoDropsTheLeastRecentlyUsedPrompt) {
+  // The memo holds 256 prompts (more on a host with more threads).  A
+  // prompt used again while the memo fills is kept when the next new
+  // prompt arrives; the one used longest ago is dropped and refitted.
+  const auto& tokenizer = pipeline().tokenizer();
+  int digit = 0;
+  while (!tokenizer.vocab().is_number(digit)) ++digit;
+  DigitBase base(tokenizer.vocab_size(), digit);
+  CountingGenerator generator;
+  NumberHookLm hooked(base, tokenizer, generator);
+  const auto marker = tokenizer.encode("Performance:");
+  const auto prompt = [&](std::size_t i) {
+    auto ids = tokenizer.encode("prompt " + std::to_string(i) + " ");
+    ids.insert(ids.end(), marker.begin(), marker.end());
+    ids.push_back(tok::kAssistant);
+    return ids;
+  };
+  std::vector<float> out(static_cast<std::size_t>(base.vocab_size()));
+  const auto use = [&](std::size_t i) {
+    hooked.next_logits(prompt(i), /*seed=*/0, out);
+  };
+  for (std::size_t i = 0; i < 256; ++i) use(i);  // full; prompt 0 oldest
+  use(0);    // prompt 0 becomes the most recently used
+  use(256);  // drops prompt 1, not prompt 0
+  use(0);
+  use(1);
+  auto calls = generator.calls();
+  EXPECT_EQ(calls[tokenizer.decode(prompt(0))], 1);
+  if (std::thread::hardware_concurrency() <= 256) {
+    EXPECT_EQ(calls[tokenizer.decode(prompt(1))], 2);
+  }
+  EXPECT_EQ(calls[tokenizer.decode(prompt(2))], 1);
 }
 
 }  // namespace

@@ -133,6 +133,23 @@ TEST(Rng, CategoricalRejectsAllZero) {
   EXPECT_THROW(rng.categorical(w, 2), std::runtime_error);
 }
 
+TEST(Rng, CategoricalWithTotalDrawsTheSame) {
+  Rng weights_rng(27);
+  std::vector<double> w(37);
+  for (double& x : w) x = weights_rng.uniform() * 1e-3;
+  w[5] = 0.0;
+  const double total = Rng::categorical_total(w.data(), w.size());
+  Rng a(29), b(29);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(a.categorical(w.data(), w.size()),
+              b.categorical(w.data(), w.size(), total));
+  }
+  const double zeros[2] = {0.0, 0.0};
+  EXPECT_THROW(Rng::categorical_total(zeros, 2), std::runtime_error);
+  const double negative[2] = {1.0, -0.5};
+  EXPECT_THROW(Rng::categorical_total(negative, 2), std::runtime_error);
+}
+
 TEST(Rng, ShuffleIsAPermutation) {
   Rng rng(25);
   std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7};

@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "glibc_fma_expf.hpp"
 #include "lm/attention.hpp"
 #include "mem/paged_kv.hpp"
 #include "util/rng.hpp"
@@ -108,13 +109,16 @@ TEST(Matmul, TransposedBBitIdenticalToSerialDot) {
   EXPECT_GT(nan_outputs, 0u);  // the special values really reached outputs
 }
 
-// attend_row exactly as it was before its score loop went SIMD: one serial
-// c-ascending dot per key, a running max, and a per-key V blend through
-// memory.  The SIMD kernel must reproduce it bit for bit.
+// The attention kernel exactly as it was before its score loop went SIMD:
+// one serial c-ascending dot per key, a running max, and a per-key V blend
+// through memory.  Its exp is by default the kernel's scalar twin of
+// glibc's expf (the libm it was frozen against), so the reference does not
+// move with a host's libm.  The SIMD kernel must reproduce it bit for bit.
 void frozen_attend_row(const float* q, const mem::KvSpan* spans,
                        std::size_t n_spans, std::size_t stride,
                        std::size_t head_off, std::size_t n, std::size_t hd,
-                       float scale, float* prow, float* ctx) {
+                       float scale, float* prow, float* ctx,
+                       float (*exp)(float) = detail::expf_scalar) {
   float hi = -1e30f;
   std::size_t u = 0;
   for (std::size_t s = 0; s < n_spans && u < n; ++s) {
@@ -130,7 +134,7 @@ void frozen_attend_row(const float* q, const mem::KvSpan* spans,
   }
   float sum = 0.0f;
   for (std::size_t w = 0; w < n; ++w) {
-    prow[w] = std::exp(prow[w] - hi);
+    prow[w] = exp(prow[w] - hi);
     sum += prow[w];
   }
   const float inv = 1.0f / sum;
@@ -150,7 +154,7 @@ void frozen_attend_row(const float* q, const mem::KvSpan* spans,
   }
 }
 
-// Key/value rows for one attend_row case, laid out as the callers do:
+// Key/value rows for one single-row attention case, laid out as the callers do:
 // stride d with separate K and V rows (a paged cache) or stride 3d over
 // packed QKV rows (forward()).  Rows have two heads and the second is
 // attended, so head_off is nonzero.  Spans are stored in reverse order, so
@@ -195,6 +199,11 @@ TEST(Attention, BitIdenticalToFrozenScalar) {
   for (const std::size_t n : {63u, 64u, 65u, 129u, 298u, 299u, 300u}) {
     ns.push_back(n);
   }
+  // Where the host's expf is the glibc variant the twin recomputes, the
+  // reference also runs on the libm itself and must agree with the twin's,
+  // so the kernel is checked against an exp it shares no code with.
+  const bool libm_is_twin = not_glibc_fma_expf().empty();
+  float (*volatile libm_expf)(float) = ::expf;
   util::Rng rng(23);
   std::size_t cases = 0, nan_outputs = 0, skipped_keys = 0;
   for (const std::size_t hd : {1u, 7u, 8u, 9u, 16u, 32u, 64u, 65u}) {
@@ -233,11 +242,24 @@ TEST(Attention, BitIdenticalToFrozenScalar) {
           frozen_attend_row(tc.q.data(), tc.spans.data(), tc.spans.size(),
                             tc.stride, tc.head_off, n, hd, 0.125f,
                             want_p.data(), want_ctx.data());
+          if (libm_is_twin) {
+            std::vector<float> libm_p(n), libm_ctx(hd);
+            frozen_attend_row(tc.q.data(), tc.spans.data(), tc.spans.size(),
+                              tc.stride, tc.head_off, n, hd, 0.125f,
+                              libm_p.data(), libm_ctx.data(), libm_expf);
+            ASSERT_TRUE(std::equal(libm_p.begin(), libm_p.end(),
+                                   want_p.begin(), same_float))
+                << "libm reference prow, hd=" << hd << " n=" << n;
+            ASSERT_TRUE(std::equal(libm_ctx.begin(), libm_ctx.end(),
+                                   want_ctx.begin(), same_float))
+                << "libm reference ctx, hd=" << hd << " n=" << n;
+          }
           for (const bool portable : {false, true}) {
             std::vector<float> p(n + 8, kSentinel), ctx(hd + 8, kSentinel);
-            (portable ? detail::attend_row_portable : attend_row)(
-                tc.q.data(), tc.spans.data(), tc.spans.size(), tc.stride,
-                tc.head_off, n, hd, 0.125f, p.data(), ctx.data());
+            const AttendQuery row{tc.q.data(), tc.spans, n, p.data(),
+                                  ctx.data()};
+            (portable ? detail::attend_rows_portable : attend_rows)(
+                {&row, 1}, tc.stride, tc.head_off, hd, 0.125f);
             const auto where = [&] {
               return testing::Message()
                      << (portable ? "portable " : "") << "hd=" << hd
@@ -275,6 +297,279 @@ TEST(Attention, BitIdenticalToFrozenScalar) {
   // The special values really reached the outputs and the p == 0 skip.
   EXPECT_GT(nan_outputs, 0u);
   EXPECT_GT(skipped_keys, 0u);
+}
+
+// A batch of query rows for one attend_rows call, built the way the
+// callers build theirs.  Pages hold `page_rows` K rows then as many V rows,
+// `stride` floats apart, and the attended head is the second of two.
+// Sharing modes:
+//   kNone     every row reads its own pages (a decode step over unrelated
+//             caches);
+//   kChunk    every row reads one page list, row t over base + t + 1
+//             positions (a prefill chunk);
+//   kSiblings rows fall in two groups that share a few leading pages
+//             (possibly a partial last one) plus rows sharing nothing, and
+//             each row continues on pages of its own, some rows stopping
+//             inside the shared pages (decode siblings on prefix-cache
+//             hits);
+//   kForward  one span over packed QKV rows, stride 3d, row t over t + 1
+//             positions (forward()).
+enum class Sharing { kNone, kChunk, kSiblings, kForward };
+
+struct RowsCase {
+  std::size_t hd, stride, head_off, page_rows;
+  std::vector<std::vector<float>> pages;  // owned K/V storage
+  std::vector<std::vector<mem::KvSpan>> spans;
+  std::vector<std::vector<float>> q;
+  std::vector<std::size_t> n;
+
+  RowsCase(std::size_t hd_, std::size_t page_rows_, Sharing sharing,
+           std::size_t rows, util::Rng& rng)
+      : hd(hd_), head_off(hd_), page_rows(page_rows_) {
+    const std::size_t d = 2 * hd;
+    stride = sharing == Sharing::kForward ? 3 * d : d;
+    const auto normal = [&] { return static_cast<float>(rng.normal(0, 1)); };
+    const auto new_pages = [&](std::size_t count, std::size_t last_tokens) {
+      std::vector<mem::KvSpan> out;
+      for (std::size_t p = 0; p < count; ++p) {
+        auto& page = pages.emplace_back(2 * page_rows * stride);
+        for (float& x : page) x = normal();
+        out.push_back({page.data(), page.data() + page_rows * stride,
+                       p + 1 == count ? last_tokens : page_rows});
+      }
+      return out;
+    };
+    const auto pick = [&](std::size_t lo, std::size_t hi) {
+      return static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+    };
+    spans.resize(rows);
+    n.resize(rows);
+    q.assign(rows, std::vector<float>(hd));
+    for (auto& row : q) {
+      for (float& x : row) x = normal();
+    }
+    switch (sharing) {
+      case Sharing::kNone:
+        for (std::size_t r = 0; r < rows; ++r) {
+          n[r] = pick(1, 3 * page_rows + 2);
+          const std::size_t count = (n[r] + page_rows - 1) / page_rows;
+          spans[r] = new_pages(count, n[r] - (count - 1) * page_rows);
+        }
+        break;
+      case Sharing::kChunk: {
+        const std::size_t base = pick(0, 5 * page_rows);
+        const std::size_t total = base + rows;
+        const std::size_t count = (total + page_rows - 1) / page_rows;
+        const auto shared = new_pages(count, total - (count - 1) * page_rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          spans[r] = shared;
+          n[r] = base + r + 1;
+        }
+        break;
+      }
+      case Sharing::kSiblings: {
+        std::vector<mem::KvSpan> prefix[2];
+        for (auto& p : prefix) {
+          // A full-page prefix, or one ending on a partial page.
+          const std::size_t count = pick(1, 4);
+          p = new_pages(count, pick(0, 1) == 0 ? page_rows
+                                               : pick(1, page_rows));
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (r % 3 == 2) {  // shares nothing
+            n[r] = pick(1, 3 * page_rows);
+            const std::size_t count = (n[r] + page_rows - 1) / page_rows;
+            spans[r] = new_pages(count, n[r] - (count - 1) * page_rows);
+            continue;
+          }
+          spans[r] = prefix[r % 3];
+          const std::size_t own = pick(0, 2);
+          if (own > 0) {
+            const auto tail = new_pages(own, pick(1, page_rows));
+            spans[r].insert(spans[r].end(), tail.begin(), tail.end());
+          }
+          std::size_t len = 0;
+          for (const auto& s : spans[r]) len += s.tokens;
+          // Stop anywhere from inside the shared pages to the very end.
+          n[r] = pick(1, len);
+        }
+        break;
+      }
+      case Sharing::kForward: {
+        auto& packed = pages.emplace_back(rows * stride);
+        for (float& x : packed) x = normal();
+        const mem::KvSpan span{packed.data() + d, packed.data() + 2 * d,
+                               rows};
+        for (std::size_t r = 0; r < rows; ++r) {
+          spans[r] = {span};
+          n[r] = r + 1;
+        }
+        break;
+      }
+    }
+  }
+
+  /// Visits every distinct key row as (K row, V row) head slices.
+  template <class F>
+  void for_each_key(F&& f) {
+    std::vector<const float*> seen;
+    for (const auto& row_spans : spans) {
+      for (const mem::KvSpan& s : row_spans) {
+        if (std::find(seen.begin(), seen.end(), s.k) != seen.end()) continue;
+        seen.push_back(s.k);
+        for (std::size_t r = 0; r < s.tokens; ++r) {
+          f(const_cast<float*>(s.k) + r * stride + head_off,
+            const_cast<float*>(s.v) + r * stride + head_off);
+        }
+      }
+    }
+  }
+};
+
+TEST(Attention, RowsMatchFrozenRows) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kSentinel = 12345.0f;
+  util::Rng rng(29);
+  std::size_t cases = 0, nan_outputs = 0, zero_probs = 0;
+  for (const std::size_t hd : {1u, 7u, 8u, 9u, 16u, 32u, 64u, 65u}) {
+    for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 8u, 24u, 33u}) {
+      for (const Sharing sharing : {Sharing::kNone, Sharing::kChunk,
+                                    Sharing::kSiblings, Sharing::kForward}) {
+        for (const std::size_t page_rows : {5u, 8u, 16u}) {
+          if (sharing == Sharing::kForward && page_rows != 16) continue;
+          RowsCase tc(hd, page_rows, sharing, rows, rng);
+          const std::size_t pattern = cases++ % 4;
+          std::size_t key = 0;
+          tc.for_each_key([&](float* k, float* v) {
+            if (key % 19 == 0) std::fill_n(k, hd, -0.0f);
+            if (pattern == 1 && key % 23 == 5) k[hd / 2] = kInf;
+            if (pattern == 1 && key % 29 == 7) k[0] = -kInf;
+            if (pattern == 2 && key % 31 == 11) k[hd - 1] = kNan;
+            if (pattern == 3 && key % 3 == 1) {
+              for (std::size_t c = 0; c < hd; ++c) k[c] *= 1e-39f;
+            }
+            if (pattern == 3 && key % 7 == 2) {
+              // Far below row 0's other scores: p underflows to 0, and
+              // only the p == 0 skip keeps its non-finite value out.
+              for (std::size_t c = 0; c < hd; ++c) {
+                k[c] = tc.q[0][c] < 0.0f ? 1e4f : -1e4f;
+              }
+              v[key % hd] = key % 2 == 0 ? kInf : kNan;
+            }
+            ++key;
+          });
+
+          std::vector<std::vector<float>> want_p(rows), want_ctx(rows);
+          for (std::size_t r = 0; r < rows; ++r) {
+            want_p[r].resize(tc.n[r]);
+            want_ctx[r].resize(hd);
+            frozen_attend_row(tc.q[r].data(), tc.spans[r].data(),
+                              tc.spans[r].size(), tc.stride, tc.head_off,
+                              tc.n[r], hd, 0.125f, want_p[r].data(),
+                              want_ctx[r].data());
+            for (const float x : want_ctx[r]) nan_outputs += std::isnan(x);
+            for (const float x : want_p[r]) zero_probs += x == 0.0f;
+          }
+          for (const bool portable : {false, true}) {
+            std::vector<std::vector<float>> p(rows), ctx(rows);
+            std::vector<AttendQuery> queries(rows);
+            for (std::size_t r = 0; r < rows; ++r) {
+              p[r].assign(tc.n[r] + 8, kSentinel);
+              ctx[r].assign(hd + 8, kSentinel);
+              queries[r] = {tc.q[r].data(), tc.spans[r], tc.n[r],
+                            p[r].data(), ctx[r].data()};
+            }
+            (portable ? detail::attend_rows_portable : attend_rows)(
+                queries, tc.stride, tc.head_off, hd, 0.125f);
+            for (std::size_t r = 0; r < rows; ++r) {
+              const auto where = [&] {
+                return testing::Message()
+                       << (portable ? "portable " : "") << "hd=" << hd
+                       << " rows=" << rows << " sharing="
+                       << static_cast<int>(sharing)
+                       << " page_rows=" << page_rows
+                       << " pattern=" << pattern << " row=" << r
+                       << " n=" << tc.n[r];
+              };
+              for (std::size_t u = 0; u < tc.n[r]; ++u) {
+                ASSERT_TRUE(same_float(p[r][u], want_p[r][u]))
+                    << where() << " prow[" << u << "]: " << p[r][u]
+                    << " vs " << want_p[r][u];
+              }
+              for (std::size_t c = 0; c < hd; ++c) {
+                ASSERT_TRUE(same_float(ctx[r][c], want_ctx[r][c]))
+                    << where() << " ctx[" << c << "]: " << ctx[r][c]
+                    << " vs " << want_ctx[r][c];
+              }
+              ASSERT_TRUE(std::all_of(p[r].begin() + tc.n[r], p[r].end(),
+                                      [](float x) { return x == kSentinel; }))
+                  << where() << " wrote past prow";
+              ASSERT_TRUE(std::all_of(ctx[r].begin() + hd, ctx[r].end(),
+                                      [](float x) { return x == kSentinel; }))
+                  << where() << " wrote past ctx";
+            }
+          }
+        }
+      }
+    }
+  }
+  // The special values really reached the outputs and the p == 0 skip.
+  EXPECT_GT(nan_outputs, 0u);
+  EXPECT_GT(zero_probs, 0u);
+}
+
+// The softmax's lane exp against its scalar twin: every lane position and
+// every tail length, over special values, both overflow/underflow edges
+// and the ordinary range.
+TEST(Exp, LanesMatchScalar) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {
+      -0.0f, 0.0f, -kInf, kInf, std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(), -1e-40f, -1e-7f, 1e-7f,
+      -87.9f, -88.0f, -88.5f, -103.0f, -103.27893f, -103.97208f,
+      std::nextafter(-0x1.9fe368p6f, 0.0f), -0x1.9fe368p6f,
+      std::nextafter(-0x1.9fe368p6f, -kInf), -150.0f, -1e30f,
+      std::numeric_limits<float>::lowest(), 88.0f, 88.5f,
+      std::nextafter(0x1.62e42ep6f, 0.0f), 0x1.62e42ep6f,
+      std::nextafter(0x1.62e42ep6f, kInf), 1e30f,
+      std::numeric_limits<float>::max()};
+  util::Rng rng(31);
+  std::size_t checked = 0;
+  for (const float special : specials) {
+    for (std::size_t n = 1; n <= 24; ++n) {
+      for (std::size_t at = 0; at < n; ++at) {
+        std::vector<float> x(n), out(n + 1, 12345.0f);
+        for (float& v : x) v = static_cast<float>(rng.uniform(-110.0, 95.0));
+        x[at] = special;
+        detail::expf_lanes(x.data(), n, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const float want = detail::expf_scalar(x[i]);
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                    std::bit_cast<std::uint32_t>(want))
+              << "n=" << n << " i=" << i << " x=" << x[i] << ": " << out[i]
+              << " vs " << want;
+          ++checked;
+        }
+        ASSERT_EQ(out[n], 12345.0f) << "wrote past the end, n=" << n;
+      }
+    }
+  }
+  // The ordinary softmax range, densely.
+  std::vector<float> x(1 << 16), out(x.size());
+  for (float& v : x) v = -static_cast<float>(rng.uniform(0.0, 30.0));
+  detail::expf_lanes(x.data(), x.size(), out.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+              std::bit_cast<std::uint32_t>(detail::expf_scalar(x[i])))
+        << "x=" << x[i];
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(detail::expf_scalar(0.0f), 1.0f);
+  EXPECT_EQ(detail::expf_scalar(-kInf), 0.0f);
+  EXPECT_EQ(detail::expf_scalar(kInf), kInf);
 }
 
 TEST(MatmulGrads, ConsistentWithFiniteDifferences) {
