@@ -1,20 +1,12 @@
 // Shared plumbing for the bench binaries: environment-variable knobs (so
 // the paper-scale settings can be enabled without recompiling), consistent
-// banners, CSV echoing, and the BENCH_baseline.json perf-trajectory record.
+// banners and CSV echoing.
 #pragma once
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/sinks.hpp"
-#include "util/fileio.hpp"
 #include "util/table.hpp"
 
 namespace lmpeel::bench {
@@ -35,98 +27,6 @@ inline void emit(const std::string& title, const util::Table& table) {
   util::print_banner(std::cout, title);
   std::cout << table.to_text();
   std::cout << "--- csv ---\n" << table.to_csv() << "--- end csv ---\n";
-}
-
-/// One bench's perf-trajectory record: wall time plus the obs counters the
-/// run accumulated (tokens generated, boosting rounds, …) and optional
-/// derived measurements (throughput, latency percentiles, …) that are not
-/// monotone counters.
-struct BenchRecord {
-  std::string name;
-  double wall_s = 0.0;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> values;
-  /// Free-form string annotations (host CPU feature level, weight format,
-  /// …) — facts a perf-trajectory reader needs to compare rows fairly
-  /// across machines but that aren't numeric measurements.
-  std::vector<std::pair<std::string, std::string>> labels;
-};
-
-/// Snapshot of every counter in `registry`, ready for a BenchRecord.
-inline std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot(
-    const obs::Registry& registry = obs::Registry::global()) {
-  return registry.counters();
-}
-
-/// Target file for write_bench_record: $LMPEEL_BENCH_JSON, defaulting to
-/// BENCH_baseline.json in the current directory.
-inline std::string bench_json_path() {
-  const char* path = std::getenv("LMPEEL_BENCH_JSON");
-  return (path != nullptr && *path != '\0') ? path : "BENCH_baseline.json";
-}
-
-/// Merges `record` into the bench JSON file, preserving other benches'
-/// entries so successive bench runs grow one combined baseline.  The file is
-/// plain JSON; entries are kept one-per-line (written only by this helper)
-/// so the merge can be line-oriented instead of needing a JSON parser.
-inline void write_bench_record(const BenchRecord& record) {
-  const std::string path = bench_json_path();
-
-  // Re-read existing entry lines ("    \"<name>\": {...}").
-  std::map<std::string, std::string> entries;
-  if (std::ifstream in(path); in.good()) {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("    \"", 0) != 0) continue;
-      const auto name_end = line.find('"', 5);
-      if (name_end == std::string::npos) continue;
-      if (line.back() == ',') line.pop_back();
-      entries[line.substr(5, name_end - 5)] = line;
-    }
-  }
-
-  std::ostringstream entry;
-  entry << "    \"" << obs::json_escape(record.name)
-        << "\": {\"wall_s\": " << record.wall_s << ", \"counters\": {";
-  for (std::size_t i = 0; i < record.counters.size(); ++i) {
-    if (i > 0) entry << ", ";
-    entry << '"' << obs::json_escape(record.counters[i].first)
-          << "\": " << record.counters[i].second;
-  }
-  entry << "}";
-  if (!record.values.empty()) {
-    entry << ", \"values\": {";
-    for (std::size_t i = 0; i < record.values.size(); ++i) {
-      if (i > 0) entry << ", ";
-      entry << '"' << obs::json_escape(record.values[i].first)
-            << "\": " << record.values[i].second;
-    }
-    entry << "}";
-  }
-  if (!record.labels.empty()) {
-    entry << ", \"labels\": {";
-    for (std::size_t i = 0; i < record.labels.size(); ++i) {
-      if (i > 0) entry << ", ";
-      entry << '"' << obs::json_escape(record.labels[i].first) << "\": \""
-            << obs::json_escape(record.labels[i].second) << '"';
-    }
-    entry << "}";
-  }
-  entry << "}";
-  entries[record.name] = entry.str();
-
-  std::ostringstream out;
-  out << "{\n  \"schema\": \"lmpeel-bench-v1\",\n  \"benches\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, line] : entries) {
-    out << line << (++i < entries.size() ? ",\n" : "\n");
-  }
-  out << "  }\n}\n";
-  // Atomic replace so an interrupted bench never truncates the baseline
-  // other benches have already merged into.
-  util::atomic_write_file(path, out.str());
-  std::cout << "bench record '" << record.name << "' written to " << path
-            << '\n';
 }
 
 }  // namespace lmpeel::bench

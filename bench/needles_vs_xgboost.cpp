@@ -97,7 +97,5 @@ int main() {
                     : "DEVIATION: XGBoost did not dominate at every "
                       "bound.\n");
   std::cout << "generations analysed: " << observer.generations << "\n";
-  bench::write_bench_record({"needles_vs_xgboost", bench_span.seconds(),
-                             bench::counter_snapshot(), {}, {}});
   return 0;
 }

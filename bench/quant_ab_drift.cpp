@@ -16,10 +16,8 @@
 //             best configuration through the quantized surrogate as
 //             through f32.
 //
-// Rows merge into BENCH_baseline.json as quant_ab/{drift,ordering,campaign}
-// with the kernel arch labelled, so the perf trajectory records whether
-// conclusions held on every tier the bench has run on.  Exit is nonzero on
-// any gate failure.
+// The report names the dispatched kernel arch, so a run records which
+// tier its conclusions held on.  Exit is nonzero on any gate failure.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -38,7 +36,6 @@
 #include "quant/quantized_lm.hpp"
 #include "tune/campaign.hpp"
 #include "tune/llambo_tuner.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -103,9 +100,6 @@ int main() {
   const auto prompt = tz.encode("tune syr2k for the SM dataset");
   util::Table drift_table(
       {"variant", "steps", "max_drift", "rms_drift", "greedy_agrees"});
-  bench::BenchRecord drift_record;
-  drift_record.name = "quant_ab/drift";
-  util::Stopwatch drift_wall;
   for (const auto& v : variants) {
     const eval::DriftReport report =
         eval::logit_drift(f32, *v.model, prompt, /*steps=*/16);
@@ -121,21 +115,14 @@ int main() {
          util::Table::num(static_cast<double>(report.max_abs_drift), 6),
          util::Table::num(report.rms_drift, 6),
          report.greedy_paths_agree ? "yes" : "no"});
-    drift_record.values.emplace_back(std::string(v.name) + "_max_drift",
-                                     report.max_abs_drift);
-    drift_record.values.emplace_back(std::string(v.name) + "_rms_drift",
-                                     report.rms_drift);
     if (!drift_ok) {
       std::cout << v.name << " drift " << report.max_abs_drift
                 << " exceeds bound " << drift_max << " FAILED\n";
     }
   }
-  drift_record.wall_s = drift_wall.seconds();
-  drift_record.labels = {{"kernel_arch", quant::arch_name(arch)}};
   bench::emit("quant-ab: logit drift (bound " +
                   util::Table::num(drift_max, 2) + ")",
               drift_table);
-  bench::write_bench_record(drift_record);
 
   // ---- gate 2: candidate-panel and per-size orderings preserved ---------
   // Fig. 2-style: a fixed candidate panel, each candidate scored by the
@@ -144,7 +131,6 @@ int main() {
   // Candidates render to genuinely different token sequences, so the
   // scores separate by O(1) — the backend comparison tests ordering
   // robustness at realistic score gaps, not float-noise ties.
-  util::Stopwatch ordering_wall;
   const auto candidate_score = [&tz](lm::LanguageModel& model,
                                      const prompt::PromptBuilder& b,
                                      const std::vector<int>& prefix,
@@ -173,8 +159,6 @@ int main() {
   for (const auto& candidate : candidates) {
     f32_scores.push_back(candidate_score(f32, builder, prefix, candidate));
   }
-  bench::BenchRecord ordering_record;
-  ordering_record.name = "quant_ab/ordering";
   util::Table ordering_table(
       {"variant", "panel_identical", "panel_rho", "size_cells_identical"});
   for (const auto& v : variants) {
@@ -210,26 +194,15 @@ int main() {
     ordering_table.add_row({v.name, identical ? "yes" : "NO",
                             util::Table::num(rho, 4),
                             cells_identical ? "yes" : "NO"});
-    ordering_record.values.emplace_back(
-        std::string(v.name) + "_panel_identical", identical ? 1.0 : 0.0);
-    ordering_record.values.emplace_back(std::string(v.name) + "_panel_rho",
-                                        rho);
-    ordering_record.values.emplace_back(
-        std::string(v.name) + "_size_cells_identical",
-        cells_identical ? 1.0 : 0.0);
   }
-  ordering_record.wall_s = ordering_wall.seconds();
-  ordering_record.labels = {{"kernel_arch", quant::arch_name(arch)}};
   bench::emit("quant-ab: surrogate orderings (panel " +
                   std::to_string(panel) + ")",
               ordering_table);
-  bench::write_bench_record(ordering_record);
 
   // ---- gate 3: seeded LLAMBO campaign reaches the same best config ------
   // Generative mode scores candidates by label log-probability — pure
   // next_logits arithmetic, no sampling — so the only way the quantized
   // surrogate changes the campaign is by flipping a score comparison.
-  util::Stopwatch campaign_wall;
   const auto run = [&](lm::LanguageModel& model) {
     tune::LlamboOptions llambo;
     llambo.mode = tune::LlamboMode::Generative;
@@ -245,15 +218,11 @@ int main() {
                               perf::SizeClass::SM, options);
   };
   const auto f32_campaign = run(f32);
-  bench::BenchRecord campaign_record;
-  campaign_record.name = "quant_ab/campaign";
   util::Table campaign_table({"variant", "best_config", "same_best",
                               "same_eval_sequence", "best_runtime"});
   campaign_table.add_row(
       {"f32", std::to_string(best_index(f32_campaign)), "-", "-",
        util::Table::num(f32_campaign.best_runtime(), 5)});
-  campaign_record.values.emplace_back(
-      "f32_best_config", static_cast<double>(best_index(f32_campaign)));
   for (const auto& v : variants) {
     const auto campaign = run(*v.model);
     const bool same_best = best_index(campaign) == best_index(f32_campaign);
@@ -269,19 +238,8 @@ int main() {
                             same_best ? "yes" : "NO",
                             same_sequence ? "yes" : "no",
                             util::Table::num(campaign.best_runtime(), 5)});
-    campaign_record.values.emplace_back(
-        std::string(v.name) + "_best_config",
-        static_cast<double>(best_index(campaign)));
-    campaign_record.values.emplace_back(std::string(v.name) + "_same_best",
-                                        same_best ? 1.0 : 0.0);
-    campaign_record.values.emplace_back(
-        std::string(v.name) + "_same_eval_sequence",
-        same_sequence ? 1.0 : 0.0);
   }
-  campaign_record.wall_s = campaign_wall.seconds();
-  campaign_record.labels = {{"kernel_arch", quant::arch_name(arch)}};
   bench::emit("quant-ab: seeded LLAMBO generative campaign", campaign_table);
-  bench::write_bench_record(campaign_record);
 
   std::cout << (ok ? "all quant A/B gates passed\n"
                    : "quant A/B gate FAILED\n");

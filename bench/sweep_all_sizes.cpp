@@ -64,8 +64,5 @@ int main() {
               table);
   std::cout << "The negative result is size-robust: no rung of the ladder "
                "yields a usable mean R².\n";
-  bench::write_bench_record(
-      {"sweep_all_sizes", bench_span.seconds(), bench::counter_snapshot(),
-       {}, {}});
   return 0;
 }

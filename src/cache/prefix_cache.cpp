@@ -104,13 +104,6 @@ bool PrefixCache::evict_one() {
     }
   }
   if (victim == nullptr) return false;
-  if (config_.spill != nullptr &&
-      victim->depth >= std::max<std::size_t>(config_.min_insert_tokens, 1)) {
-    // Cold entries go to disk instead of vanishing (DESIGN.md §16); a later
-    // acquire() miss can pull them back.  Best effort — a failed spill just
-    // degrades to the no-backend behaviour.
-    config_.spill->spill(path_of(victim), victim->kv);
-  }
   const std::size_t freed = node_bytes(victim->depth);
   if (budget_ != nullptr && victim->reserved_bytes > 0) {
     budget_->release(victim->reserved_bytes);
@@ -165,38 +158,6 @@ PrefixCache::Lookup PrefixCache::acquire(std::span<const int> tokens,
     node = child;
     depth += common;
   }
-  if (config_.spill != nullptr && matched < cap) {
-    // The radix tree came up short — a previously evicted entry on disk may
-    // still cover more of this prompt.  Reload it, re-insert (restored rows
-    // are the exact evicted floats, so reuse stays bit-identical), and
-    // treat it as the match.
-    const std::size_t spilled =
-        config_.spill->longest_prefix(tokens.first(cap), cap);
-    if (spilled > matched &&
-        spilled >= std::max<std::size_t>(config_.min_insert_tokens, 1)) {
-      // Without a reload_pool the rows land in a private pool, and hits
-      // on the reloaded node are row copies into the slot's pool.
-      lm::KvCache reloaded;
-      reloaded.attach_pool(config_.reload_pool);
-      bool loaded = false;
-      try {
-        loaded = config_.spill->load(tokens.first(spilled), spilled, reloaded);
-      } catch (const mem::PoolExhausted&) {
-        loaded = false;  // no pages for the reload: stay a plain miss
-      }
-      if (loaded) {
-        // Pin the walk's match while the insert may evict to make room —
-        // it must stay valid in case the insert is skipped.
-        if (best != nullptr) ++best->pins;
-        Node* node_in = insert_locked(tokens.first(spilled), reloaded);
-        if (best != nullptr) --best->pins;
-        if (node_in != nullptr) {
-          best = node_in;
-          matched = spilled;
-        }
-      }
-    }
-  }
   if (best == nullptr || matched == 0) {
     counter("cache.prefix.misses").add();
     obs::timeline(obs::TimelineKind::PrefixMiss, obs::current_trace_id());
@@ -235,9 +196,9 @@ void PrefixCache::copy_to(const Lookup& lookup,
   const bool zero_copy = dst.copy_prefix(lookup.node->kv, lookup.tokens);
   counter("cache.prefix.saved_prefill_tokens").add(lookup.tokens);
   // A hit on the slot's own pool hands out page handles — no KV floats
-  // move; a node on another pool (a spill reload without reload_pool) is
-  // copied row by row.  The byte counter stays exact either way so the
-  // serve-bench gate ("pure hits copy zero bytes") can be asserted.
+  // move; a node on another pool is copied row by row.  The byte counter
+  // stays exact either way so "pure hits copy zero bytes" can be asserted
+  // (ServePrefixCache.CacheOnAndOffGenerateIdenticalTokens).
   if (zero_copy) {
     counter("cache.prefix.zero_copy_hits").add();
   } else {
@@ -266,11 +227,6 @@ void PrefixCache::insert(std::span<const int> tokens,
   }
   LMPEEL_CHECK(src.length() >= tokens.size());
   std::lock_guard<std::mutex> lock(mutex_);
-  insert_locked(tokens, src);
-}
-
-PrefixCache::Node* PrefixCache::insert_locked(
-    std::span<const int> tokens, const lm::KvCache& src) {
   Node* node = root_.get();
   std::size_t depth = 0;
   while (depth < tokens.size()) {
@@ -280,7 +236,7 @@ PrefixCache::Node* PrefixCache::insert_locked(
       const std::size_t bytes = node_bytes(tokens.size());
       if (!reserve_node_bytes(bytes)) {
         counter("cache.prefix.insert_skips").add();
-        return nullptr;
+        return;
       }
       auto leaf = std::make_unique<Node>();
       leaf->edge.assign(tokens.begin() + static_cast<std::ptrdiff_t>(depth),
@@ -290,13 +246,12 @@ PrefixCache::Node* PrefixCache::insert_locked(
       leaf->kv.copy_prefix(src, tokens.size());
       leaf->reserved_bytes = budget_ != nullptr ? bytes : 0;
       leaf->last_use = ++tick_;
-      Node* leaf_raw = leaf.get();
       node->children.emplace(tokens[depth], std::move(leaf));
       total_bytes_ += bytes;
       ++node_count_;
       counter("cache.prefix.inserts").add();
       publish();
-      return leaf_raw;
+      return;
     }
     Node* child = it->second.get();
     std::size_t common = 0;
@@ -317,7 +272,7 @@ PrefixCache::Node* PrefixCache::insert_locked(
     const std::size_t bytes = node_bytes(split_depth);
     if (!reserve_node_bytes(bytes)) {
       counter("cache.prefix.insert_skips").add();
-      return nullptr;
+      return;
     }
     auto mid = std::make_unique<Node>();
     mid->edge.assign(child->edge.begin(),
@@ -340,7 +295,7 @@ PrefixCache::Node* PrefixCache::insert_locked(
     if (split_depth == tokens.size()) {
       counter("cache.prefix.inserts").add();
       publish();
-      return mid_raw;
+      return;
     }
     node = mid_raw;
     depth = split_depth;
@@ -348,7 +303,6 @@ PrefixCache::Node* PrefixCache::insert_locked(
   // Walk ended exactly on an existing node: the prefix is already cached.
   node->last_use = ++tick_;
   counter("cache.prefix.dup_inserts").add();
-  return node;
 }
 
 std::vector<int> PrefixCache::path_of(const Node* node) {

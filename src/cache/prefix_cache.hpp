@@ -32,39 +32,6 @@
 
 namespace lmpeel::cache {
 
-/// Disk-spill hook for cold cache entries (DESIGN.md §16).  When a
-/// PrefixCacheConfig carries a backend, evicted leaves serialize their KV
-/// rows through spill() instead of being lost, and acquire() consults
-/// longest_prefix()/load() after a radix miss so a spilled prefix comes
-/// back as a hit (restored rows are the exact floats that were evicted, so
-/// reuse stays bit-identical).  Spilled bytes live on disk, outside any
-/// guard::Budget.
-///
-/// Implementations are called while the PrefixCache mutex is held: they
-/// must be self-contained (own locking, file I/O) and must never call back
-/// into the cache or take engine/pool locks.
-class KvSpillBackend {
- public:
-  virtual ~KvSpillBackend() = default;
-  /// Persists the first kv.length() >= tokens.size() positions of `kv`
-  /// under the token path.  Best effort: false = not stored (entry is
-  /// simply lost, as without a backend).  Idempotent per path.
-  virtual bool spill(std::span<const int> tokens,
-                     const lm::KvCache& kv) = 0;
-  /// Longest stored prefix of `tokens` with length <= max_tokens (0 =
-  /// none).
-  virtual std::size_t longest_prefix(std::span<const int> tokens,
-                                     std::size_t max_tokens) const = 0;
-  /// Loads the entry stored for exactly tokens[0, n) into `kv` (which must
-  /// be empty, and pages into whatever pool it is bound to).  false = not
-  /// stored / unreadable / pool exhausted.
-  virtual bool load(std::span<const int> tokens, std::size_t n,
-                    lm::KvCache& kv) = 0;
-  /// Token paths of every stored entry (longest first) — the revive
-  /// re-warm inventory.
-  virtual std::vector<std::vector<int>> spilled_prefixes() const = 0;
-};
-
 struct PrefixCacheConfig {
   /// Soft cap on total cached KV bytes; 0 = unlimited (a bound
   /// guard::Budget still applies).  LRU leaves are evicted to stay under.
@@ -82,22 +49,16 @@ struct PrefixCacheConfig {
   /// end up owning once its sharers release.  0 = the default page size,
   /// which is what a decoder built without a pool pages with.
   std::size_t page_tokens = 0;
-  /// Disk-spill backend for evicted leaves (DESIGN.md §16); null = evicted
-  /// entries are dropped.  Not owned; must outlive the cache.
-  KvSpillBackend* spill = nullptr;
-  /// Pool spill reloads restore into — set it to the serving pool so hits
-  /// on a reloaded node share pages zero-copy.  Null = each reload gets a
-  /// private pool and its hits are row copies into the slot's pool.
+  /// Read by nothing: cached nodes live on the pool of the KvCache they
+  /// were inserted from.  Kept only because perfbench still sets it.
   mem::PagePool* reload_pool = nullptr;
 };
 
 /// Radix/trie store over token-id prefixes.  Each node owns a full-path
 /// KvCache (positions [0, depth)); longest-prefix-match lookup pins the
 /// node so eviction can never free rows a request is copying.  All methods
-/// are thread-safe behind one leaf-level mutex (the only calls out while
-/// held are to the self-contained KvSpillBackend, which by contract takes
-/// no engine or pool locks, so the lock can never participate in a cycle
-/// with them).
+/// are thread-safe behind one leaf-level mutex that calls out to no engine
+/// or pool lock, so it can never participate in a cycle with them.
 class PrefixCache {
  public:
   explicit PrefixCache(lm::KvBackend& model, PrefixCacheConfig config = {});
@@ -176,13 +137,8 @@ class PrefixCache {
   }
   /// Reserves `bytes` for a new node, evicting as needed; false = give up.
   bool reserve_node_bytes(std::size_t bytes);
-  /// Evicts the least-recently-used unpinned leaf (spilling it to the
-  /// configured backend first); false = none evictable.
+  /// Evicts the least-recently-used unpinned leaf; false = none evictable.
   bool evict_one();
-  /// insert() body; requires mutex_ held.  Returns the node holding
-  /// exactly tokens.size() positions, or null when the insert was skipped.
-  Node* insert_locked(std::span<const int> tokens,
-                      const lm::KvCache& src);
   /// Full token path of `node` (root-chain edges concatenated).
   static std::vector<int> path_of(const Node* node);
   void publish() const;

@@ -7,8 +7,8 @@
 // inference-only) both implement it over the one layer loop in
 // lm/decoder_body.hpp, so the whole serve / prefix-cache / paged-KV /
 // recovery stack runs against either backend unchanged — KV rows are f32
-// in every backend, which is what keeps the prefix-cache and spill
-// bit-identity guarantees weight-format-independent.
+// in every backend, which is what keeps the prefix-cache bit-identity
+// guarantee weight-format-independent.
 #pragma once
 
 #include <cstdint>

@@ -125,7 +125,7 @@ void prefill_rows(const WeightOps& ops, const TransformerConfig& config,
   LMPEEL_CHECK(out.empty() ||
                out.size() == static_cast<std::size_t>(config.vocab));
   // Only the suffix is forwarded — the drop in this counter relative to a
-  // full prefill is the serve-bench "saved prefill" evidence.
+  // full prefill is the prefix cache's "saved prefill" evidence.
   obs::Registry::global().counter("lm.transformer.forward_tokens")
       .add(suffix.size());
   KvCache* const one[] = {&cache};

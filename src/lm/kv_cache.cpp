@@ -59,52 +59,23 @@ bool KvCache::copy_prefix(const KvCache& src, std::size_t n_tokens) {
     return true;
   }
   // Pages cannot be shared across pools (each pool accounts its own), so
-  // the rows are copied through the spill dump format.
+  // the rows are copied into pages of this cache's pool.
   const mem::PagePoolConfig& shape = src.pool()->config();
-  std::vector<float> keys, values;
-  src.export_rows(n_tokens, shape.n_layer, shape.d_model, keys, values);
-  restore_rows(n_tokens, shape.n_layer, shape.d_model, keys, values);
-  return false;
-}
-
-void KvCache::export_rows(std::size_t n_tokens, std::size_t n_layer,
-                          std::size_t d_model, std::vector<float>& keys,
-                          std::vector<float>& values) const {
-  LMPEEL_CHECK(n_tokens <= length_);
-  keys.assign(n_tokens * n_layer * d_model, 0.0f);
-  values.assign(n_tokens * n_layer * d_model, 0.0f);
-  if (n_tokens == 0) return;
+  const std::size_t d = shape.d_model;
+  grow(n_tokens, shape.n_layer, d);
   std::vector<mem::KvSpan> run;
-  for (std::size_t l = 0; l < n_layer; ++l) {
-    float* kdst = keys.data() + l * n_tokens * d_model;
-    float* vdst = values.data() + l * n_tokens * d_model;
-    spans(l, n_tokens, run);
+  for (std::size_t l = 0; l < shape.n_layer; ++l) {
+    src.spans(l, n_tokens, run);
     std::size_t t = 0;
     for (const mem::KvSpan& s : run) {
-      std::copy_n(s.k, s.tokens * d_model, kdst + t * d_model);
-      std::copy_n(s.v, s.tokens * d_model, vdst + t * d_model);
-      t += s.tokens;
-    }
-    LMPEEL_CHECK(t == n_tokens);
-  }
-}
-
-void KvCache::restore_rows(std::size_t n_tokens, std::size_t n_layer,
-                           std::size_t d_model, std::span<const float> keys,
-                           std::span<const float> values) {
-  LMPEEL_CHECK(keys.size() == n_tokens * n_layer * d_model);
-  LMPEEL_CHECK(values.size() == keys.size());
-  clear();
-  grow(n_tokens, n_layer, d_model);
-  for (std::size_t l = 0; l < n_layer; ++l) {
-    const float* ksrc = keys.data() + l * n_tokens * d_model;
-    const float* vsrc = values.data() + l * n_tokens * d_model;
-    for (std::size_t t = 0; t < n_tokens; ++t) {
-      std::copy_n(ksrc + t * d_model, d_model, k_row(l, t));
-      std::copy_n(vsrc + t * d_model, d_model, v_row(l, t));
+      for (std::size_t i = 0; i < s.tokens; ++i, ++t) {
+        std::copy_n(s.k + i * d, d, k_row(l, t));
+        std::copy_n(s.v + i * d, d, v_row(l, t));
+      }
     }
   }
   commit(n_tokens);
+  return false;
 }
 
 }  // namespace lmpeel::lm

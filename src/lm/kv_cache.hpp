@@ -2,10 +2,10 @@
 //
 // Every KV-cached decoder backend — the f32 transformer and the quantized
 // inference-only path (DESIGN.md §17) — shares this one cache type, so the
-// serve/cache/recover layers are written against `lm::KvBackend` instead
-// of one concrete model.  KV rows are always f32 regardless of the
-// backend's weight format, so the prefix-cache and disk-spill bit-identity
-// guarantees are backend-independent.
+// serve and cache layers are written against `lm::KvBackend` instead of
+// one concrete model.  KV rows are always f32 regardless of the
+// backend's weight format, so the prefix-cache bit-identity guarantee is
+// backend-independent.
 //
 // Storage is paged: rows live in refcounted mem::PagePool pages, and the
 // pool is the only byte accountant (a shared page is charged once, to the
@@ -61,20 +61,6 @@ class KvCache {
   /// false.  Either way the rows are the exact floats src stored, so a
   /// subsequent prefill_from() continues bit-identically (DESIGN.md §12).
   bool copy_prefix(const KvCache& src, std::size_t n_tokens);
-
-  /// Serializes the first `n_tokens` positions into layer-major row dumps
-  /// (`keys`/`values` each become n_layer·n_tokens·d_model floats) —
-  /// the disk-spill path for cold prefix-cache entries (DESIGN.md §16).
-  void export_rows(std::size_t n_tokens, std::size_t n_layer,
-                   std::size_t d_model, std::vector<float>& keys,
-                   std::vector<float>& values) const;
-
-  /// Inverse of export_rows(): replaces this cache's contents with the
-  /// dumped rows (may throw mem::PoolExhausted).  The restored floats are
-  /// the exported ones, so the cache continues bit-identically.
-  void restore_rows(std::size_t n_tokens, std::size_t n_layer,
-                    std::size_t d_model, std::span<const float> keys,
-                    std::span<const float> values);
 
   // ---- append protocol of the inference body (lm/decoder_body.hpp) ------
   /// Makes positions [length(), length() + n) writable, allocating pages

@@ -6,7 +6,8 @@
 //
 //   * ttft_p99_s    — time-to-first-token p99 (serve.ttft_s histogram)
 //   * decode_tok_s  — decode-only throughput: decoded tokens per second of
-//                     batched step time (same definition as serve-bench)
+//                     batched step time (lm.transformer.decode_tokens over
+//                     the serve.step histogram sum)
 //   * error_rate    — serve.retired.engine_error per submitted request
 //   * shed_rate     — serve.retired.shed per submitted request
 //

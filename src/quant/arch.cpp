@@ -97,8 +97,8 @@ Arch best_supported_arch() {
 
 Arch dispatched_arch() {
   static const Arch arch = decide();
-  // Re-publish on every call: the metrics registry is reset between bench
-  // cells, and the gauge is how quant-check/serve-bench report the lane.
+  // Re-publish on every call: the metrics registry may have been reset
+  // since the first, and the gauge must still name the lane in its dump.
   obs::Registry::global()
       .gauge("quant.dispatch_arch")
       .set(static_cast<double>(static_cast<int>(arch)));

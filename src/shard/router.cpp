@@ -497,9 +497,7 @@ ReviveReport Router::revive(std::size_t i) {
   state.consecutive_errors.store(0, std::memory_order_relaxed);
 
   // Re-warm: replay the replica's own cached prefixes (token ids) as warm
-  // requests through the new engine.  Entries this cache spilled to disk
-  // reload lazily through its KvSpillBackend during these prefills and
-  // later misses — no separate spill pass needed.
+  // requests through the new engine.
   if (state.replica.cache != nullptr) {
     const auto prefixes = state.replica.cache->snapshot_prefixes();
     for (const std::vector<int>& prefix : prefixes) {

@@ -180,8 +180,7 @@ class Router final : public serve::Client {
   /// machine): Dead → Recovering → probation → Healthy.  Restarts the
   /// engine through the Replica::restart hook (or re-admits the existing
   /// client if it is accepting again), replays the request journal,
-  /// re-warms the replica's prefix cache by warm requests (spilled entries
-  /// reload lazily through the cache's own backend), then requires
+  /// re-warms the replica's prefix cache by warm requests, then requires
   /// revive_probes consecutive probe successes before bumping the ring
   /// generation and flipping the replica Healthy — in-flight lookups never
   /// see a half-joined replica because the flip is one atomic store.

@@ -38,8 +38,8 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Value-returning overload: the future carries the callable's result
-  /// (serve-bench's load-generator clients return their latency samples
-  /// this way).  Exceptions are rethrown by future::get as usual.
+  /// (serve-bench shard's load-generator clients return their latency
+  /// samples this way).  Exceptions are rethrown by future::get as usual.
   template <typename F>
     requires(!std::is_void_v<std::invoke_result_t<std::decay_t<F>>>)
   std::future<std::invoke_result_t<std::decay_t<F>>> submit(F&& task) {

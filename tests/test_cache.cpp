@@ -1,14 +1,16 @@
 // lmpeel::cache — shared-prefix KV cache (DESIGN.md §12).
 //
 // Covers the three layers of the claim "the cache is a pure accelerator":
-//   * lm: copy_prefix forks share pages (a shared page is charged once)
-//     and prefill_from over a cached prefix reproduces a full prefill bit
-//     for bit (EXPECT_EQ on floats, not near);
+//   * lm: copy_prefix forks share pages (a shared page is charged once),
+//     a fork across pools copies the exact rows, and prefill_from over a
+//     cached prefix reproduces a full prefill bit for bit (EXPECT_EQ on
+//     floats, not near);
 //   * cache: radix insert / longest-prefix lookup / edge splitting, LRU
 //     eviction under a byte budget with pinned nodes spared, and
 //     guard::Budget integration (accounted never exceeds the limit);
 //   * serve: an engine with the cache attached generates exactly the same
-//     tokens as one without, while the hit/saved counters move.
+//     tokens as one without, while the hit/saved counters move and every
+//     hit is a zero-copy page share.
 #include "cache/prefix_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -106,6 +108,27 @@ TEST(KvCacheCopyPrefix, ForksAndAccountsAgainstBudget) {
   for (int v = 0; v < model.vocab_size(); ++v) {
     EXPECT_EQ(step_a.row(0)[static_cast<std::size_t>(v)],
               step_b.row(0)[static_cast<std::size_t>(v)]);
+  }
+
+  // Across pools nothing can be shared: the rows are copied into pages of
+  // the destination's own size (copy_prefix returns false), and they are
+  // the same floats, so decoding continues bit-identically.
+  mem::PagePool other(pool_config(model.config(), /*page_tokens=*/3));
+  lm::TransformerLm::KvCache c;
+  c.attach_pool(&other);
+  EXPECT_FALSE(c.copy_prefix(b, b.length()));
+  EXPECT_EQ(c.pool(), &other);
+  EXPECT_EQ(c.length(), 7u);
+  EXPECT_EQ(c.pages_held(), 3u);
+  EXPECT_EQ(budget.accounted(), 3 * page);  // other pool, other meter
+  lm::Tensor step_c(1, static_cast<std::size_t>(model.vocab_size()));
+  lm::TransformerLm::KvCache* cc[] = {&c};
+  const int next2[] = {2};
+  model.decode_batch(cb, next2, step_b);
+  model.decode_batch(cc, next2, step_c);
+  for (int v = 0; v < model.vocab_size(); ++v) {
+    EXPECT_EQ(step_b.row(0)[static_cast<std::size_t>(v)],
+              step_c.row(0)[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -371,13 +394,21 @@ TEST(PrefixCacheBudget, NodePagesStayReservedAndDrainOnDestruction) {
 
 // ---- serve integration ---------------------------------------------------
 
+// Once on the decoder's private pool and once on a caller's page pool with
+// the shared prefix a whole number of pages: the tokens match a cache-less
+// engine, and every hit shares the prefix's pages — zero KV bytes copied.
 TEST(ServePrefixCache, CacheOnAndOffGenerateIdenticalTokens) {
   lm::TransformerLm model(tiny_config(), /*seed=*/11);
   const std::vector<int> shared{3, 1, 4, 1, 5, 9, 2, 6, 5, 3};
+  mem::PagePool paged(pool_config(model.config(), /*page_tokens=*/5));
+  ASSERT_EQ(shared.size() % paged.page_tokens(), 0u);
 
-  const auto run = [&](bool cache_on) {
-    serve::TransformerBatchDecoder decoder(model, /*slots=*/2);
-    PrefixCache prefix_cache(model, {});
+  const auto run = [&](bool cache_on, mem::PagePool* pool) {
+    PrefixCacheConfig config;
+    if (pool != nullptr) config.page_tokens = pool->page_tokens();
+    PrefixCache prefix_cache(model, config);
+    serve::TransformerBatchDecoder decoder(model, /*slots=*/2,
+                                           /*parallel=*/true, pool);
     if (cache_on) decoder.set_prefix_cache(&prefix_cache);
     serve::Engine engine(decoder);
     std::vector<serve::Request> requests;
@@ -402,16 +433,29 @@ TEST(ServePrefixCache, CacheOnAndOffGenerateIdenticalTokens) {
     return tokens;
   };
 
-  const std::uint64_t hits0 = counter_value("cache.prefix.hits");
-  const std::uint64_t saved0 =
-      counter_value("cache.prefix.saved_prefill_tokens");
-  const auto off = run(false);
-  const std::uint64_t hits_off = counter_value("cache.prefix.hits");
-  EXPECT_EQ(hits_off, hits0);  // no cache attached, no cache traffic
-  const auto on = run(true);
-  EXPECT_EQ(on, off);
-  EXPECT_GT(counter_value("cache.prefix.hits"), hits0);
-  EXPECT_GT(counter_value("cache.prefix.saved_prefill_tokens"), saved0);
+  for (mem::PagePool* pool : {static_cast<mem::PagePool*>(nullptr), &paged}) {
+    SCOPED_TRACE(pool == nullptr ? "private pool" : "page pool");
+    const std::uint64_t hits0 = counter_value("cache.prefix.hits");
+    const std::uint64_t saved0 =
+        counter_value("cache.prefix.saved_prefill_tokens");
+    const std::uint64_t zero_copy0 =
+        counter_value("cache.prefix.zero_copy_hits");
+    const std::uint64_t copied0 =
+        counter_value("cache.prefix.hit_bytes_copied");
+    const auto off = run(false, pool);
+    EXPECT_EQ(counter_value("cache.prefix.hits"), hits0);  // no cache traffic
+    const auto on = run(true, pool);
+    EXPECT_EQ(on, off);
+    const std::uint64_t hits = counter_value("cache.prefix.hits") - hits0;
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(counter_value("cache.prefix.saved_prefill_tokens"), saved0);
+    // Slots and cache nodes page out of one pool, so every hit is a page
+    // share.
+    EXPECT_EQ(counter_value("cache.prefix.zero_copy_hits") - zero_copy0,
+              hits);
+    EXPECT_EQ(counter_value("cache.prefix.hit_bytes_copied"), copied0);
+    if (pool != nullptr) EXPECT_EQ(pool->pages_in_use(), 0u);
+  }
 }
 
 // prefill_chunk_tokens == 0 admits each request with its whole prompt:

@@ -5,12 +5,6 @@
 //     tail, bit-flipped CRC, duplicate sequence number, oversized length
 //     field, missing/empty file — each returning the longest valid record
 //     prefix and quarantining damage to `<path>.corrupt`;
-//   * spill: an evicted prefix reloads from disk with the exact floats it
-//     held (EXPECT_EQ on decode logits, not near), whether it reloads into
-//     the serving pool or a private one, a pooled decoder served through a
-//     private-pool reload generates what it generates with the cache off,
-//     and a re-indexed store serves the same entry after a simulated
-//     process restart;
 //   * shard: the request journal's zero-lost / zero-duplicated accounting
 //     across a kill→revive cycle, drain's successor re-picked at migration
 //     time when the first choice dies, and the acceptance drill — a
@@ -42,9 +36,7 @@
 #include "core/pipeline.hpp"
 #include "guard/budget.hpp"
 #include "lm/transformer.hpp"
-#include "mem/page_pool.hpp"
 #include "obs/metrics.hpp"
-#include "recover/spill_store.hpp"
 #include "serve/client.hpp"
 #include "serve/decoder.hpp"
 #include "serve/engine.hpp"
@@ -234,206 +226,6 @@ TEST(Wal, MissingAndEmptyFilesReplayToNothing) {
   const WalReplay empty = Wal::replay(empty_path);
   EXPECT_TRUE(empty.records.empty());
   EXPECT_FALSE(empty.quarantined);
-}
-
-// ---- spill: evicted prefixes reload bit-identically ----------------------
-
-lm::TransformerConfig kv_config() {
-  lm::TransformerConfig cfg;
-  cfg.vocab = 32;
-  cfg.d_model = 16;
-  cfg.n_head = 2;
-  cfg.n_layer = 2;
-  cfg.max_seq = 64;
-  return cfg;
-}
-
-/// Decodes one step from `kv` and returns the logits row — the float-exact
-/// fingerprint of the cache contents (every lm kernel is deterministic, so
-/// identical rows in means identical logits out).
-std::vector<float> decode_fingerprint(lm::TransformerLm& model,
-                                      lm::TransformerLm::KvCache& kv,
-                                      int next_token) {
-  lm::Tensor step(1, static_cast<std::size_t>(model.vocab_size()));
-  lm::TransformerLm::KvCache* caches[] = {&kv};
-  const int next[] = {next_token};
-  model.decode_batch(caches, next, step);
-  const auto row = step.row(0);
-  return std::vector<float>(row.begin(), row.end());
-}
-
-mem::PagePoolConfig kv_pool_config(const lm::TransformerConfig& cfg) {
-  mem::PagePoolConfig pool_config;
-  pool_config.page_tokens = 4;
-  pool_config.n_layer = static_cast<std::size_t>(cfg.n_layer);
-  pool_config.d_model = static_cast<std::size_t>(cfg.d_model);
-  return pool_config;
-}
-
-TEST(SpillStore, EvictedPrefixReloadsBitIdentical) {
-  lm::TransformerLm model(kv_config(), /*seed=*/1);
-  mem::PagePool pool(kv_pool_config(model.config()));
-  // Prompt length deliberately off a page boundary (6 tokens, 4/page).
-  const std::vector<int> prompt{3, 1, 4, 1, 5, 9};
-  std::vector<float> logits(static_cast<std::size_t>(model.vocab_size()));
-  // Serial reference for one decode step after the prompt.
-  std::vector<int> context = prompt;
-  context.push_back(7);
-  std::vector<float> want(static_cast<std::size_t>(model.vocab_size()));
-  model.next_logits(context, /*seed=*/0, want);
-  const std::size_t bytes_per_token =
-      2 * static_cast<std::size_t>(model.config().n_layer) *
-      static_cast<std::size_t>(model.config().d_model) * sizeof(float);
-
-  // A reload lands in reload_pool (hits then share its pages) or, with none
-  // set, in a private pool (hits copy rows into the slot's pool).  Either
-  // way the slot must see the exact floats that were evicted.
-  for (const bool into_reload_pool : {true, false}) {
-    ScopedDir dir(into_reload_pool ? "spill_reload_pool" : "spill_private");
-    SpillStore store(dir.file("kv"), model.config());
-    cache::PrefixCacheConfig config;
-    config.spill = &store;
-    config.page_tokens = pool.page_tokens();
-    config.reload_pool = into_reload_pool ? &pool : nullptr;
-    cache::PrefixCache cache(model, config);
-    {
-      lm::TransformerLm::KvCache source;
-      source.attach_pool(&pool);
-      model.prefill(source, prompt, logits);
-      cache.insert(prompt, source);
-    }
-    ASSERT_EQ(cache.node_count(), 1u);
-
-    // Evict everything: with a backend bound the leaf spills instead of
-    // dying, and its pages go back to the pool.
-    const std::uint64_t writes_before = counter_value("recover.spill_writes");
-    EXPECT_GT(cache.shed(cache.bytes() + 1), 0u);
-    EXPECT_EQ(cache.node_count(), 0u);
-    EXPECT_EQ(pool.pages_in_use(), 0u);
-    EXPECT_EQ(store.entry_count(), 1u);
-    EXPECT_GT(store.spilled_bytes(), 0u);
-    EXPECT_EQ(counter_value("recover.spill_writes"), writes_before + 1);
-
-    // A radix miss now falls through to the store and comes back as a hit.
-    const std::uint64_t hits_before = counter_value("recover.spill_hits");
-    const std::uint64_t zero_copy_before =
-        counter_value("cache.prefix.zero_copy_hits");
-    const std::uint64_t copied_before =
-        counter_value("cache.prefix.hit_bytes_copied");
-    auto lookup = cache.acquire(prompt, prompt.size(), /*surcharge=*/0);
-    ASSERT_EQ(lookup.tokens, prompt.size());
-    lm::TransformerLm::KvCache reloaded;
-    reloaded.attach_pool(&pool);
-    cache.copy_to(lookup, reloaded);
-    cache.release(lookup);
-    EXPECT_EQ(counter_value("recover.spill_hits"), hits_before + 1);
-    if (into_reload_pool) {
-      EXPECT_EQ(counter_value("cache.prefix.zero_copy_hits"),
-                zero_copy_before + 1);
-      EXPECT_EQ(counter_value("cache.prefix.hit_bytes_copied"),
-                copied_before);
-    } else {
-      EXPECT_EQ(counter_value("cache.prefix.zero_copy_hits"),
-                zero_copy_before);
-      EXPECT_EQ(counter_value("cache.prefix.hit_bytes_copied"),
-                copied_before + prompt.size() * bytes_per_token);
-    }
-
-    // The reloaded rows are the exact floats that were evicted.
-    EXPECT_EQ(decode_fingerprint(model, reloaded, 7), want)
-        << (into_reload_pool ? "reload_pool" : "private pool");
-  }
-}
-
-TEST(SpillStore, ReloadWithoutReloadPoolServesAPooledDecoder) {
-  // With no reload_pool a reloaded prefix lives in a private pool, so a hit
-  // is a row copy into the decoder's pool — and the request must generate
-  // exactly what it generates with the cache off.
-  ScopedDir dir("spill_serve");
-  lm::TransformerLm model(kv_config(), /*seed=*/3);
-  const std::vector<int> shared{5, 3, 8, 2, 9, 1, 7, 4, 6, 2};
-  const auto request_for = [&](int r) {
-    serve::Request request;
-    request.prompt = shared;
-    request.prompt.push_back(10 + r);
-    request.prompt.push_back(20 + r);
-    request.shared_prefix_tokens = shared.size();
-    request.options.sampler.temperature = 0.0;
-    request.options.stop_on_eos = false;
-    request.options.max_tokens = 4;
-    request.options.seed = static_cast<std::uint64_t>(r);
-    return request;
-  };
-  const auto run = [&](SpillStore* store) {
-    // Pool, then cache, then decoder: the cache's nodes release their
-    // pages before the pool dies.
-    mem::PagePool pool(kv_pool_config(model.config()));
-    cache::PrefixCacheConfig config;
-    config.spill = store;
-    config.page_tokens = pool.page_tokens();
-    cache::PrefixCache prefix_cache(model, config);
-    serve::TransformerBatchDecoder decoder(model, /*slots=*/2,
-                                           /*parallel=*/false, &pool);
-    if (store != nullptr) decoder.set_prefix_cache(&prefix_cache);
-    serve::Engine engine(decoder);
-    std::vector<std::vector<int>> tokens;
-    for (int r = 0; r < 4; ++r) {
-      auto result = engine.submit(request_for(r)).get();
-      EXPECT_EQ(result.status, serve::RequestStatus::Ok) << "request " << r;
-      tokens.push_back(std::move(result.generation.tokens));
-      // Spill every cached prefix, so the next request reloads from disk.
-      prefix_cache.shed(~std::size_t{0} / 2);
-    }
-    EXPECT_EQ(engine.engine_errors(), 0u);
-    engine.shutdown();
-    return tokens;
-  };
-
-  const auto off = run(nullptr);
-  SpillStore store(dir.file("kv"), model.config());
-  const std::uint64_t spill_hits0 = counter_value("recover.spill_hits");
-  const std::uint64_t copied0 = counter_value("cache.prefix.hit_bytes_copied");
-  EXPECT_EQ(run(&store), off);
-  EXPECT_GT(counter_value("recover.spill_hits"), spill_hits0);
-  EXPECT_GT(counter_value("cache.prefix.hit_bytes_copied"), copied0);
-}
-
-TEST(SpillStore, ReindexAfterRestartServesTheSameEntry) {
-  ScopedDir dir("spill_reindex");
-  lm::TransformerLm model(kv_config(), /*seed=*/1);
-  const std::vector<int> prompt{2, 7, 1, 8, 2, 8};
-  std::vector<float> logits(static_cast<std::size_t>(model.vocab_size()));
-  lm::TransformerLm::KvCache baseline;
-  model.prefill(baseline, prompt, logits);
-  {
-    SpillStore store(dir.file("kv"), model.config());
-    cache::PrefixCacheConfig config;
-    config.spill = &store;
-    cache::PrefixCache cache(model, config);
-    cache.insert(prompt, baseline);
-    cache.shed(cache.bytes() + 1);
-    ASSERT_EQ(store.entry_count(), 1u);
-  }  // the "process" dies; only the directory survives
-
-  // A fresh store on the same directory re-indexes the files — this is
-  // what a revived replica pointed at its old spill dir sees.
-  SpillStore revived(dir.file("kv"), model.config());
-  EXPECT_EQ(revived.entry_count(), 1u);
-  ASSERT_EQ(revived.spilled_prefixes().size(), 1u);
-  EXPECT_EQ(revived.spilled_prefixes().front(), prompt);
-  // Entries are exact paths: nothing stored fits under a shorter cap.
-  EXPECT_EQ(revived.longest_prefix(prompt, prompt.size() - 1), 0u);
-
-  cache::PrefixCacheConfig config;
-  config.spill = &revived;
-  cache::PrefixCache cache(model, config);
-  auto lookup = cache.acquire(prompt, prompt.size(), /*surcharge=*/0);
-  ASSERT_EQ(lookup.tokens, prompt.size());
-  lm::TransformerLm::KvCache reloaded;
-  cache.copy_to(lookup, reloaded);
-  cache.release(lookup);
-  EXPECT_EQ(decode_fingerprint(model, baseline, 5),
-            decode_fingerprint(model, reloaded, 5));
 }
 
 // ---- shard: revive journal accounting and drain re-pick ------------------

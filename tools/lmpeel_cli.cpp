@@ -8,17 +8,12 @@
 //   lmpeel stats [--json] [size] [icl] [seed]    generation run + metrics
 //                                                summary (--json: one machine-
 //                                                readable object on stdout)
-//   lmpeel serve-bench [quick] [prefix|mixed|shard|recover]
-//                      [--prefix on|off]
-//                                                load-test the serve engine;
-//                                                `prefix` measures shared-prefix
-//                                                KV reuse cache-on vs cache-off,
-//                                                `mixed` long+short traffic in
-//                                                32-token prefill chunks vs
-//                                                whole-prompt admission,
-//                                                `recover` kills and revives a
-//                                                replica and gates post-revive
-//                                                decode throughput
+//   lmpeel serve-bench [quick] <shard|recover>
+//                                                load-test a shard::Router
+//                                                fleet: `shard` scales 1 -> 3
+//                                                replicas, `recover` kills and
+//                                                revives a replica and gates
+//                                                post-revive decode throughput
 //   lmpeel chaos [seed] [requests]               fault-injection survival run
 //   lmpeel soak [--seconds N] [--seed N] [--budget BYTES] [--no-sick-window]
 //               [--no-prefix-cache]
@@ -108,8 +103,7 @@ int usage() {
          "llambo-generative|llambo-sampling> <size> <budget> [seed]\n"
          "  lmpeel tokenize <text…>\n"
          "  lmpeel stats [--json] [size] [icl_count] [seed]\n"
-         "  lmpeel serve-bench [quick] [prefix|mixed|shard|recover] "
-         "[--prefix on|off]\n"
+         "  lmpeel serve-bench [quick] <shard|recover>\n"
          "  lmpeel chaos [seed] [requests]\n"
          "  lmpeel soak [--seconds N] [--seed N] [--budget BYTES] "
          "[--no-sick-window] [--no-prefix-cache] "
@@ -121,8 +115,8 @@ int usage() {
 
 }  // namespace
 
-// Defined in serve_bench.cpp; sweeps offered concurrency x max_batch over
-// the engine and reports throughput and latency percentiles.
+// Defined in serve_bench.cpp; load-tests a shard::Router fleet (`shard`
+// scaling or `recover` kill + revive).
 int cmd_serve_bench(int argc, char** argv);
 
 namespace {
