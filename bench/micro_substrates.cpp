@@ -1,11 +1,14 @@
 // Micro-benchmarks of the substrates (google-benchmark): tokenizer
 // throughput, induction-model logit computation, transformer forward pass,
-// paged attention, the tied output head, temperature sampling, GBT
+// paged attention, the tied output head, the int8 GEMM kernel on every
+// arch, temperature sampling, GBT
 // training, syr2k model evaluation, dataset generation, trace-step
 // construction and haystack enumeration.  These validate that the
 // HPC-parallel substrate is fast enough for the paper-scale sweeps and
 // catch performance regressions.
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "core/pipeline.hpp"
 #include "gbt/booster.hpp"
@@ -18,6 +21,9 @@
 #include "lm/transformer.hpp"
 #include "mem/paged_kv.hpp"
 #include "perf/dataset.hpp"
+#include "quant/arch.hpp"
+#include "quant/kernels.hpp"
+#include "quant/qtensor.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -142,6 +148,50 @@ void BM_AttendRows(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * rows * n));
 }
 BENCHMARK(BM_AttendRows)->ArgsProduct({{1, 8, 24}, {80, 1000}});
+
+// The int8 GEMM kernel alone (quant::KernelSet::i8_gemm) at ingest's
+// int8 shapes: a 32-row prefill chunk through w_qkv (k 128, n 384) and
+// w_fc2 (k 512, n 128), and one decode row through w_qkv.  The last
+// argument is the arch (0 scalar, 1 AVX2, 2 AVX-512); an arch the host
+// cannot run is skipped.  Items are multiply-adds.
+void BM_I8Gemm(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto arch = static_cast<quant::Arch>(state.range(3));
+  if (!quant::arch_supported(arch)) {
+    state.SkipWithError("arch not supported on this host");
+    return;
+  }
+  state.SetLabel(quant::arch_name(arch));
+  util::Rng rng(17);
+  auto codes = [&](std::size_t count) {
+    std::vector<std::int8_t> v(count);
+    for (auto& x : v) {
+      x = static_cast<std::int8_t>(static_cast<int>(rng.next() % 255) - 127);
+    }
+    return v;
+  };
+  const std::vector<std::int8_t> a = codes(m * k);
+  const std::vector<std::int8_t> b = codes(n * k);
+  const quant::QTensor w = quant::QTensor::from_codes(n, k, b.data(), 1.0f);
+  std::vector<std::int32_t> acc(m * n);
+  const quant::KernelSet& ks = quant::kernels(arch);
+  for (auto _ : state) {
+    ks.i8_gemm(a.data(), m, w.packed(), acc.data());
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * m * n * k));
+}
+BENCHMARK(BM_I8Gemm)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const auto& [m, k, n] : {std::array<std::int64_t, 3>{32, 128, 384},
+                                std::array<std::int64_t, 3>{32, 512, 128},
+                                std::array<std::int64_t, 3>{1, 128, 384}}) {
+    for (std::int64_t arch = 0; arch <= 2; ++arch) b->Args({m, k, n, arch});
+  }
+});
 
 // One temperature-0.8 draw over a full-vocabulary logit row, the per-token
 // sampling cost of a sampled (non-greedy) request.

@@ -39,9 +39,11 @@ bool cpu_supports(Arch arch) {
       // F16C is required by the fp16 dequant kernels in the AVX2 table.
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
     case Arch::kAvx512:
+      // VNNI is required by the int8 kernel (VPDPBUSD).
       return __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl");
+             __builtin_cpu_supports("avx512vl") &&
+             __builtin_cpu_supports("avx512vnni");
   }
   return false;
 #else

@@ -2,8 +2,10 @@
 //
 // The kernel TUs (kernels_{scalar,avx2,avx512}.cpp) are each compiled with
 // their own -m flags, mirroring the per-file AVX-512 setup for
-// lm/tensor.cpp; this header picks which table to use.  The choice is made
-// once per process from CPUID (`__builtin_cpu_supports`), overridable with
+// lm/tensor.cpp; this header picks which table to use.  The AVX-512 tier
+// includes VNNI (its int8 kernel is VPDPBUSD), so an AVX-512 host without
+// VNNI gets the AVX2 tier for both formats.  The choice is made once per
+// process from CPUID (`__builtin_cpu_supports`), overridable with
 // LMPEEL_FORCE_ARCH=scalar|avx2|avx512 so the scalar fallback stays
 // test-covered on wide machines and perf runs can pin a lane width.
 #pragma once
@@ -17,7 +19,8 @@ const char* arch_name(Arch arch);
 
 /// True when `arch` was both compiled in (the toolchain accepted its -m
 /// flags) and the running CPU reports the needed features (AVX2 also needs
-/// F16C for the fp16 kernels; AVX-512 needs F+BW+VL).
+/// F16C for the fp16 kernels; AVX-512 needs F+BW+VL+VNNI, so a host
+/// without VNNI runs both the int8 and the fp16 kernels at AVX2).
 bool arch_supported(Arch arch);
 
 /// Widest supported arch on this machine (kScalar is always supported).

@@ -2,51 +2,96 @@
 // src/CMakeLists.txt); falls back to the scalar table when the toolchain
 // lacks those flags.
 //
-// int8 dot: 16 int8 lanes per iteration — sign-extend both operands to
-// 16-bit (vpmovsxbw), multiply-add adjacent pairs into int32 lanes
-// (vpmaddwd), accumulate, then one horizontal reduce per dot.  Integer
-// adds are associative, so the result equals the scalar loop bit for bit.
+// int8 GEMM over the packed layout: a block of up to four activation
+// rows × eight columns.  Per 4-deep k group, the codes of four columns
+// (16 bytes) widen to 16-bit (vpmovsxbw) and multiply-add (vpmaddwd)
+// against the row's four activations, broadcast as 16-bit, leaving two
+// int32 partial sums per column; one vphaddd per row and block folds the
+// pairs.  Activations stay signed, so the packed correction is unused.
+// Integer adds are associative, so the result equals the scalar loop bit
+// for bit.
 #include "quant/kernels.hpp"
 
 #ifdef __AVX2__
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace lmpeel::quant {
 
 namespace {
 
-std::int32_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+constexpr std::size_t kRows = 4;   // activation rows per register block
+constexpr std::size_t kCols = 8;   // output columns per register block
+
+// out[r*n + c] for r < R, c < cols (≤ kCols) over `groups` k groups; `a`
+// holds R rows of 16-bit activations with row stride `a_stride`, `w`
+// points at the block's first column in group 0.
+template <std::size_t R>
+void block_avx2(const std::int16_t* a, std::size_t a_stride,
+                const std::int8_t* w, std::size_t w_stride,
+                std::size_t groups, std::int32_t* out, std::size_t n,
+                std::size_t cols) {
+  __m256i lo[R], hi[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    lo[r] = _mm256_setzero_si256();
+    hi[r] = _mm256_setzero_si256();
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::int8_t* wg = w + g * w_stride;
+    const __m256i b0 = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wg)));
+    const __m256i b1 = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wg + 16)));
+    for (std::size_t r = 0; r < R; ++r) {
+      long long four;
+      __builtin_memcpy(&four, a + r * a_stride + g * kI8PackK, sizeof(four));
+      const __m256i va = _mm256_set1_epi64x(four);
+      lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(b0, va));
+      hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(b1, va));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    // hadd gives columns (0,1,4,5 | 2,3,6,7); the permute restores order.
+    const __m256i sums = _mm256_permute4x64_epi64(
+        _mm256_hadd_epi32(lo[r], hi[r]), 0xD8);
+    std::int32_t* dst = out + r * n;
+    if (cols == kCols) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), sums);
+    } else {
+      alignas(32) std::int32_t tmp[kCols];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), sums);
+      for (std::size_t c = 0; c < cols; ++c) dst[c] = tmp[c];
+    }
+  }
 }
 
-void i8_gemm_avx2(const std::int8_t* qa, std::size_t m,
-                  const std::int8_t* qbt, std::size_t n, std::size_t k_len,
+using BlockFn = void (*)(const std::int16_t*, std::size_t, const std::int8_t*,
+                         std::size_t, std::size_t, std::int32_t*, std::size_t,
+                         std::size_t);
+constexpr BlockFn kBlocks[kRows] = {&block_avx2<1>, &block_avx2<2>,
+                                    &block_avx2<3>, &block_avx2<4>};
+
+void i8_gemm_avx2(const std::int8_t* qa, std::size_t m, const I8Packed& w,
                   std::int32_t* acc) {
-  const std::size_t k_vec = k_len & ~std::size_t{15};
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::int8_t* b = qbt + j * k_len;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* a = qa + i * k_len;
-      __m256i vacc = _mm256_setzero_si256();
-      for (std::size_t k = 0; k < k_vec; k += 16) {
-        const __m256i va = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-        const __m256i vb = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + k)));
-        vacc = _mm256_add_epi32(vacc, _mm256_madd_epi16(va, vb));
-      }
-      std::int32_t sum = hsum_epi32(vacc);
-      for (std::size_t k = k_vec; k < k_len; ++k) {
-        sum += static_cast<std::int32_t>(a[k]) *
-               static_cast<std::int32_t>(b[k]);
-      }
-      acc[i * n + j] = sum;
+  const std::size_t n = w.n, k = w.k, groups = i8_k_groups(k);
+  const std::size_t a_stride = groups * kI8PackK;
+  const std::size_t w_stride = i8_padded_cols(n) * kI8PackK;
+  // Activations widened once per call, rows zero-padded to whole groups.
+  thread_local std::vector<std::int16_t> a16;
+  a16.assign(m * a_stride, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < k; ++c) a16[i * a_stride + c] = qa[i * k + c];
+  }
+  for (std::size_t j = 0; j < n; j += kCols) {
+    const std::size_t cols = std::min(kCols, n - j);
+    for (std::size_t i = 0; i < m; i += kRows) {
+      const std::size_t rows = std::min(kRows, m - i);
+      kBlocks[rows - 1](a16.data() + i * a_stride, a_stride,
+                        w.codes + j * kI8PackK, w_stride, groups,
+                        acc + i * n + j, n, cols);
     }
   }
 }

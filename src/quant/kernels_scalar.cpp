@@ -4,28 +4,47 @@
 // point.
 #include "quant/kernels.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace lmpeel::quant {
 
 namespace {
 
-void i8_gemm_scalar(const std::int8_t* qa, std::size_t m,
-                    const std::int8_t* qbt, std::size_t n, std::size_t k_len,
+void i8_gemm_scalar(const std::int8_t* qa, std::size_t m, const I8Packed& w,
                     std::int32_t* acc) {
-  // j-outer so one weight row stays hot while every activation row dots
-  // against it — weights stream through the cache once per call, which is
-  // the whole memory-traffic win of the quantized path.
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::int8_t* b = qbt + j * k_len;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* a = qa + i * k_len;
-      std::int32_t sum = 0;
-      for (std::size_t k = 0; k < k_len; ++k) {
-        sum += static_cast<std::int32_t>(a[k]) *
-               static_cast<std::int32_t>(b[k]);
+  // Signed activations against the packed codes, so no offset and no
+  // correction enter.  Each row keeps one int32 sum per packed byte
+  // position (column × k-phase), so a group's pass is one contiguous
+  // multiply-add over its codes, which the compiler vectorizes on the
+  // baseline ISA; the four phases of a column fold at the end.  A short
+  // last group meets zero codes; activation bytes past k are never read.
+  const std::size_t n = w.n, k = w.k;
+  const std::size_t span = i8_padded_cols(n) * kI8PackK;
+  thread_local std::vector<std::int32_t> lanes;
+  lanes.resize(span);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::int8_t* a = qa + i * k;
+    std::fill(lanes.begin(), lanes.end(), 0);
+    std::int32_t* lp = lanes.data();
+    for (std::size_t g = 0; g < i8_k_groups(k); ++g) {
+      std::int16_t ag[kI8PackK] = {};
+      for (std::size_t r = 0; r < kI8PackK && g * kI8PackK + r < k; ++r) {
+        ag[r] = a[g * kI8PackK + r];
       }
-      acc[i * n + j] = sum;
+      const std::int8_t* b = w.codes + g * span;
+      for (std::size_t x = 0; x < span; x += kI8PackK) {
+        for (std::size_t r = 0; r < kI8PackK; ++r) {
+          // |a·w| ≤ 127², so the product is exact in 16 bits.
+          lp[x + r] += static_cast<std::int16_t>(ag[r] * b[x + r]);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::int32_t* p = lp + j * kI8PackK;
+      acc[i * n + j] = p[0] + p[1] + p[2] + p[3];
     }
   }
 }

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/check.hpp"
 
 namespace lmpeel::quant {
@@ -75,57 +79,72 @@ float max_abs(const lm::Tensor& w) {
   return hi;
 }
 
-void finish_error_stats(const lm::Tensor& w, float scale,
-                        const std::vector<std::int8_t>& q_t, std::size_t n,
-                        std::size_t k, bool transposed, float& max_err,
-                        double& rms) {
+void finish_error_stats(const lm::Tensor& w, bool transposed, QTensor& t) {
   double sq = 0.0;
-  max_err = 0.0f;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t c = 0; c < k; ++c) {
+  float max_err = 0.0f;
+  for (std::size_t j = 0; j < t.n; ++j) {
+    for (std::size_t c = 0; c < t.k; ++c) {
       const float orig = transposed ? w.at(c, j) : w.at(j, c);
-      const float deq = static_cast<float>(q_t[j * k + c]) * scale;
+      const float deq = static_cast<float>(t.code(j, c)) * t.scale;
       const float err = std::abs(orig - deq);
       max_err = std::max(max_err, err);
       sq += static_cast<double>(err) * err;
     }
   }
-  rms = w.size() > 0 ? std::sqrt(sq / static_cast<double>(w.size())) : 0.0;
+  t.max_abs_error = max_err;
+  t.rms_error =
+      w.size() > 0 ? std::sqrt(sq / static_cast<double>(w.size())) : 0.0;
+}
+
+/// The packed tensor whose code at (inner c, column j) is code_of(c, j).
+template <typename CodeOf>
+QTensor pack(std::size_t n, std::size_t k, float scale, CodeOf code_of) {
+  QTensor t;
+  t.n = n;
+  t.k = k;
+  t.scale = scale;
+  const std::size_t n_pad = i8_padded_cols(n);
+  t.codes.assign(i8_k_groups(k) * n_pad * kI8PackK, 0);
+  t.corr.assign(n_pad, 0);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::int8_t q = code_of(c, j);
+      t.codes[i8_code_index(c, j, n_pad)] = q;
+      t.corr[j] += 128 * static_cast<std::int32_t>(q);
+    }
+  }
+  return t;
 }
 
 }  // namespace
 
 QTensor QTensor::from_matmul_weights(const lm::Tensor& w) {
-  QTensor t;
-  t.k = w.rows();
-  t.n = w.cols();
-  t.scale = max_abs(w) / 127.0f;
-  const float inv = t.scale > 0.0f ? 1.0f / t.scale : 0.0f;
-  t.q.resize(t.n * t.k);
-  for (std::size_t j = 0; j < t.n; ++j) {
-    std::int8_t* row = t.q.data() + j * t.k;
-    for (std::size_t c = 0; c < t.k; ++c) row[c] = code_i8(w.at(c, j), inv);
-  }
-  finish_error_stats(w, t.scale, t.q, t.n, t.k, /*transposed=*/true,
-                     t.max_abs_error, t.rms_error);
+  const float scale = max_abs(w) / 127.0f;
+  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+  QTensor t = pack(w.cols(), w.rows(), scale,
+                   [&](std::size_t c, std::size_t j) {
+                     return code_i8(w.at(c, j), inv);
+                   });
+  finish_error_stats(w, /*transposed=*/true, t);
   return t;
 }
 
 QTensor QTensor::from_rows(const lm::Tensor& w) {
-  QTensor t;
-  t.n = w.rows();
-  t.k = w.cols();
-  t.scale = max_abs(w) / 127.0f;
-  const float inv = t.scale > 0.0f ? 1.0f / t.scale : 0.0f;
-  t.q.resize(t.n * t.k);
-  for (std::size_t j = 0; j < t.n; ++j) {
-    std::int8_t* row = t.q.data() + j * t.k;
-    const float* src = w.data() + j * t.k;
-    for (std::size_t c = 0; c < t.k; ++c) row[c] = code_i8(src[c], inv);
-  }
-  finish_error_stats(w, t.scale, t.q, t.n, t.k, /*transposed=*/false,
-                     t.max_abs_error, t.rms_error);
+  const float scale = max_abs(w) / 127.0f;
+  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+  QTensor t = pack(w.rows(), w.cols(), scale,
+                   [&](std::size_t c, std::size_t j) {
+                     return code_i8(w.at(j, c), inv);
+                   });
+  finish_error_stats(w, /*transposed=*/false, t);
   return t;
+}
+
+QTensor QTensor::from_codes(std::size_t n, std::size_t k,
+                            const std::int8_t* rows, float scale) {
+  return pack(n, k, scale, [&](std::size_t c, std::size_t j) {
+    return rows[j * k + c];
+  });
 }
 
 namespace {
@@ -179,11 +198,47 @@ HTensor HTensor::from_rows(const lm::Tensor& w) {
 
 void quantize_row_i8(const float* a, std::size_t k, std::int8_t* q,
                      float& scale) {
+  std::size_t c = 0;
   float hi = 0.0f;
-  for (std::size_t c = 0; c < k; ++c) hi = std::max(hi, std::abs(a[c]));
+#if defined(__SSE2__)
+  // Max-abs in four lanes.  maxps returns its second operand when either
+  // is NaN, so a NaN element leaves the running max alone, as std::max
+  // does below; over non-NaN values the max is the same in any order.
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+  __m128 hi4 = _mm_setzero_ps();
+  for (; c + 4 <= k; c += 4) {
+    hi4 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(a + c), abs_mask), hi4);
+  }
+  alignas(16) float lanes[4];
+  _mm_store_ps(lanes, hi4);
+  for (const float lane : lanes) hi = std::max(hi, lane);
+#endif
+  for (; c < k; ++c) hi = std::max(hi, std::abs(a[c]));
   scale = hi / 127.0f;
   const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-  for (std::size_t c = 0; c < k; ++c) q[c] = code_i8(a[c], inv);
+  c = 0;
+#if defined(__SSE2__)
+  // cvtps2dq rounds to nearest-even under the default MXCSR, as lrintf
+  // does.  |a·inv| stays near 127 unless inv is infinite, so the only
+  // out-of-range inputs are NaN and ±inf: cvtps2dq gives INT32_MIN for
+  // them, which the saturating packs and the clamp take to -127, where
+  // lrintf's LONG_MIN lands too.
+  const __m128 vinv = _mm_set1_ps(inv);
+  const __m128i lo = _mm_set1_epi16(-127);
+  const __m128i hi16 = _mm_set1_epi16(127);
+  auto codes4 = [&](std::size_t at) {
+    return _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(a + at), vinv));
+  };
+  for (; c + 16 <= k; c += 16) {
+    __m128i w0 = _mm_packs_epi32(codes4(c), codes4(c + 4));
+    __m128i w1 = _mm_packs_epi32(codes4(c + 8), codes4(c + 12));
+    w0 = _mm_min_epi16(_mm_max_epi16(w0, lo), hi16);
+    w1 = _mm_min_epi16(_mm_max_epi16(w1, lo), hi16);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + c),
+                     _mm_packs_epi16(w0, w1));
+  }
+#endif
+  for (; c < k; ++c) q[c] = code_i8(a[c], inv);
 }
 
 void qmatmul(const lm::Tensor& a, const QTensor& wt, const lm::Tensor* bias,
@@ -203,7 +258,7 @@ void qmatmul(const lm::Tensor& a, const QTensor& wt, const lm::Tensor* bias,
     quantize_row_i8(a.data() + i * k, k, scratch.qa.data() + i * k,
                     scratch.a_scale[i]);
   }
-  ks.i8_gemm(scratch.qa.data(), m, wt.q.data(), n, k, scratch.acc.data());
+  ks.i8_gemm(scratch.qa.data(), m, wt.packed(), scratch.acc.data());
   for (std::size_t i = 0; i < m; ++i) {
     // One combined scale per row; a single f32 multiply per output keeps
     // the dequant rounding identical on every arch (the kernels only ever

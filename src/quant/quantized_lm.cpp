@@ -156,11 +156,11 @@ void QuantizedLm::embed(int id, std::size_t pos, float* row) const {
   const auto d = static_cast<std::size_t>(config_.d_model);
   const float* pe = pos_emb_.data() + pos * d;
   if (format_ == WeightFormat::kInt8) {
-    const std::int8_t* te =
-        tok_emb_q_.q.data() + static_cast<std::size_t>(id) * d;
+    // Token `id` is column `id` of the packed tied head.
+    const auto j = static_cast<std::size_t>(id);
     const float s = tok_emb_q_.scale;
     for (std::size_t c = 0; c < d; ++c) {
-      row[c] = static_cast<float>(te[c]) * s + pe[c];
+      row[c] = static_cast<float>(tok_emb_q_.code(j, c)) * s + pe[c];
     }
   } else {
     const std::uint16_t* te =

@@ -4,6 +4,10 @@
 //   * fp16 conversion: float_to_half is round-to-nearest-even and
 //     half_to_float is exact, so the round trip half→float→half is the
 //     identity for every non-NaN bit pattern (checked exhaustively);
+//   * activation quantization on lanes equals the frozen lrintf loop bit
+//     for bit (codes and scale), NaN/inf/denormal/x.5 rows included;
+//   * the packed int8 weight layout holds exactly the row-major codes,
+//     their correction and error summary;
 //   * int8 kernels: every compiled arch table (scalar, AVX2, AVX-512)
 //     produces *identical* int32 accumulations on ragged shapes — int8
 //     dot products in int32 are exact, so lane width can't change them;
@@ -26,10 +30,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "guard/budget.hpp"
@@ -116,37 +123,216 @@ TEST(Quantize, RowCodesAreDeterministicAndSymmetric) {
   for (const std::int8_t c : qz) EXPECT_EQ(c, 0);
 }
 
-// Every arch's int8 GEMM must produce the same int32 accumulations — the
-// products are exact in int32 and addition is associative there, so wider
-// lanes cannot change the result.  Ragged k values cover the 16- and
-// 32-lane tails of the AVX2/AVX-512 kernels.
-TEST(Kernels, I8GemmIdenticalAcrossArchs) {
-  util::Rng rng(11);
-  for (const std::size_t k : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 70u}) {
-    const std::size_t m = 3, n = 5;
-    std::vector<std::int8_t> a(m * k), bt(n * k);
-    for (auto& v : a) {
-      v = static_cast<std::int8_t>(static_cast<int>(rng.next() % 255) - 127);
-    }
-    for (auto& v : bt) {
-      v = static_cast<std::int8_t>(static_cast<int>(rng.next() % 255) - 127);
-    }
-    std::vector<std::int32_t> ref(m * n);
-    kernels(Arch::kScalar).i8_gemm(a.data(), m, bt.data(), n, k, ref.data());
-    // Independent exactness check of the scalar kernel itself.
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::int64_t want = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          want += static_cast<std::int64_t>(a[i * k + c]) * bt[j * k + c];
-        }
-        EXPECT_EQ(ref[i * n + j], want) << "k=" << k;
+// Frozen reference for the activation quantizer: the portable loop, libm's
+// lrintf per element.  quantize_row_i8 must reproduce its codes and scale
+// bit for bit on every target, lanes or not.
+void frozen_quantize_row(const float* a, std::size_t k, std::int8_t* q,
+                         float& scale) {
+  float hi = 0.0f;
+  for (std::size_t c = 0; c < k; ++c) hi = std::max(hi, std::abs(a[c]));
+  scale = hi / 127.0f;
+  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+  for (std::size_t c = 0; c < k; ++c) {
+    const long r = std::lrintf(a[c] * inv);
+    q[c] = static_cast<std::int8_t>(std::clamp<long>(r, -127, 127));
+  }
+}
+
+TEST(Quantize, RowMatchesFrozenLrintfLoop) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  util::Rng rng(19);
+  for (const std::size_t k : {1u, 15u, 16u, 17u, 128u, 512u}) {
+    // Each case fills a row of length k; `at` is a spot inside it.
+    std::vector<std::vector<float>> rows;
+    auto row = [&](auto fill) {
+      std::vector<float> r(k);
+      for (std::size_t c = 0; c < k; ++c) r[c] = fill(c);
+      rows.push_back(std::move(r));
+    };
+    row([&](std::size_t) { return static_cast<float>(rng.normal()); });
+    row([&](std::size_t) { return 0.0f; });
+    row([&](std::size_t c) { return c % 2 ? -0.0f : 0.0f; });
+    // Max 127 makes scale exactly 1, so c - 63.5 lands on x.5 after
+    // scaling: ties must go to even, as lrintf takes them.
+    row([&](std::size_t c) {
+      return c == 0 ? 127.0f : static_cast<float>(c % 128) - 63.5f;
+    });
+    row([&](std::size_t c) {
+      return c == 0 ? -127.0f : 0.5f * static_cast<float>(c % 255) - 63.5f;
+    });
+    row([&](std::size_t c) {
+      return static_cast<float>(c % 7) * denorm * (c % 2 ? -1.0f : 1.0f);
+    });
+    row([&](std::size_t c) {
+      return c % 3 == 0 ? denorm * 100.0f : static_cast<float>(c) * 1e-42f;
+    });
+    for (const float special : {nan, inf, -inf}) {
+      for (const std::size_t at : {std::size_t{0}, k / 2, k - 1}) {
+        row([&](std::size_t c) {
+          return c == at ? special : static_cast<float>(rng.normal());
+        });
       }
     }
-    for (const Arch arch : supported_archs()) {
-      std::vector<std::int32_t> got(m * n, -1);
-      kernels(arch).i8_gemm(a.data(), m, bt.data(), n, k, got.data());
-      EXPECT_EQ(got, ref) << "arch " << arch_name(arch) << " k=" << k;
+    row([&](std::size_t c) { return c % 2 ? nan : inf; });
+    row([&](std::size_t) { return nan; });
+    for (const auto& r : rows) {
+      std::vector<std::int8_t> want(k), got(k, 99);
+      float want_scale = -1.0f, got_scale = -2.0f;
+      frozen_quantize_row(r.data(), k, want.data(), want_scale);
+      quantize_row_i8(r.data(), k, got.data(), got_scale);
+      EXPECT_EQ(std::memcmp(&got_scale, &want_scale, sizeof(float)), 0)
+          << "k=" << k << " scale " << got_scale << " vs " << want_scale;
+      EXPECT_EQ(got, want) << "k=" << k;
+    }
+  }
+  // NaN codes to -127, as lrintf's LONG_MIN clamps.
+  std::vector<float> one_nan(16, 1.0f);
+  one_nan[5] = nan;
+  std::vector<std::int8_t> q(16);
+  float s = 0.0f;
+  quantize_row_i8(one_nan.data(), 16, q.data(), s);
+  EXPECT_EQ(q[5], -127);
+  EXPECT_EQ(q[4], 127);
+}
+
+std::vector<std::int8_t> random_codes(util::Rng& rng, std::size_t count) {
+  std::vector<std::int8_t> v(count);
+  for (auto& x : v) {
+    x = static_cast<std::int8_t>(static_cast<int>(rng.next() % 255) - 127);
+  }
+  return v;
+}
+
+// Every arch's int8 GEMM must produce the same int32 accumulations — the
+// products are exact in int32 and addition is associative there, so wider
+// lanes and the AVX-512 kernel's u8 offset and correction cannot change
+// the result.  The shapes cover whole register blocks and every tail:
+// rows past a multiple of 4, columns past a multiple of 16 (and of 64),
+// k past a multiple of 4 (the packed group) and of 64.
+TEST(Kernels, I8GemmIdenticalAcrossArchs) {
+  util::Rng rng(11);
+  const std::size_t ms[] = {1, 2, 4, 5, 8, 9, 32, 33};
+  const std::size_t ns[] = {1, 5, 16, 17, 64, 385};
+  const std::size_t ks[] = {1, 3, 4, 5, 31, 32, 33, 128, 130, 512};
+  for (const std::size_t m : ms) {
+    for (const std::size_t n : ns) {
+      for (const std::size_t k : ks) {
+        // Random codes, then the extremes: +127 and -127 everywhere, and
+        // mixed signs at full scale (the offset activation reaches 1 and
+        // 255).
+        for (int fill = 0; fill < 4; ++fill) {
+          std::vector<std::int8_t> a = random_codes(rng, m * k);
+          std::vector<std::int8_t> b = random_codes(rng, n * k);
+          if (fill == 1 || fill == 2) {
+            const std::int8_t v = fill == 1 ? 127 : -127;
+            std::fill(a.begin(), a.end(), v);
+            std::fill(b.begin(), b.end(), v);
+          } else if (fill == 3) {
+            for (std::size_t i = 0; i < a.size(); ++i) {
+              a[i] = i % 3 ? 127 : -127;
+            }
+            for (std::size_t i = 0; i < b.size(); ++i) {
+              b[i] = i % 2 ? -127 : 127;
+            }
+          }
+          const QTensor w = QTensor::from_codes(n, k, b.data(), 1.0f);
+          std::vector<std::int32_t> want(m * n);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              std::int64_t sum = 0;
+              for (std::size_t c = 0; c < k; ++c) {
+                sum += static_cast<std::int64_t>(a[i * k + c]) * b[j * k + c];
+              }
+              want[i * n + j] = static_cast<std::int32_t>(sum);
+            }
+          }
+          for (const Arch arch : supported_archs()) {
+            std::vector<std::int32_t> got(m * n, -1);
+            kernels(arch).i8_gemm(a.data(), m, w.packed(), got.data());
+            ASSERT_EQ(got, want) << "arch " << arch_name(arch) << " m=" << m
+                                 << " n=" << n << " k=" << k
+                                 << " fill=" << fill;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The packed layout is a reordering, nothing more: every code, the
+// correction, the embedding rows read from it and the error summary
+// equal a frozen row-major [n][k] copy quantized with lrintf code by code.
+TEST(QTensor, PackedLayoutRoundTripsFrozenRowMajorCopy) {
+  util::Rng rng(23);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{48, 24},
+        {17, 5},
+        {1, 1},
+        {33, 130}}) {
+    lm::Tensor w(rows, cols);
+    w.randomize(rng, 0.5f);
+    // from_rows: column j of the packed matmul is row j of w (tok_emb,
+    // read back by the embedding); from_matmul_weights: w is [k, n].
+    for (const bool as_rows : {true, false}) {
+      SCOPED_TRACE(as_rows ? "from_rows" : "from_matmul_weights");
+      const QTensor t = as_rows ? QTensor::from_rows(w)
+                                : QTensor::from_matmul_weights(w);
+      const std::size_t n = as_rows ? rows : cols;
+      const std::size_t k = as_rows ? cols : rows;
+      ASSERT_EQ(t.n, n);
+      ASSERT_EQ(t.k, k);
+      float hi = 0.0f;
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        hi = std::max(hi, std::abs(w.data()[i]));
+      }
+      const float scale = hi / 127.0f;
+      EXPECT_EQ(t.scale, scale);
+      const float inv = 1.0f / scale;
+      auto orig = [&](std::size_t j, std::size_t c) {
+        return as_rows ? w.at(j, c) : w.at(c, j);
+      };
+      std::vector<std::int8_t> frozen(n * k);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t c = 0; c < k; ++c) {
+          const long r = std::lrintf(orig(j, c) * inv);
+          frozen[j * k + c] =
+              static_cast<std::int8_t>(std::clamp<long>(r, -127, 127));
+        }
+      }
+      double sq = 0.0;
+      float max_err = 0.0f;
+      for (std::size_t j = 0; j < n; ++j) {
+        std::int32_t sum = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          const std::int8_t q = frozen[j * k + c];
+          ASSERT_EQ(t.code(j, c), q) << "j=" << j << " c=" << c;
+          // The embedding row of token j, as QuantizedLm::embed reads it.
+          EXPECT_EQ(static_cast<float>(t.code(j, c)) * t.scale,
+                    static_cast<float>(q) * scale);
+          const float err =
+              std::abs(orig(j, c) - static_cast<float>(q) * scale);
+          max_err = std::max(max_err, err);
+          sq += static_cast<double>(err) * err;
+          sum += q;
+        }
+        EXPECT_EQ(t.corr[j], 128 * sum) << "j=" << j;
+      }
+      EXPECT_EQ(t.max_abs_error, max_err);
+      EXPECT_EQ(t.rms_error,
+                std::sqrt(sq / static_cast<double>(w.size())));
+      // Padding is zero: codes past n and past k, and their correction.
+      const std::size_t n_pad = i8_padded_cols(n);
+      ASSERT_EQ(t.codes.size(), i8_k_groups(k) * n_pad * kI8PackK);
+      ASSERT_EQ(t.corr.size(), n_pad);
+      for (std::size_t c = 0; c < i8_k_groups(k) * kI8PackK; ++c) {
+        for (std::size_t j = 0; j < n_pad; ++j) {
+          if (c < k && j < n) continue;
+          EXPECT_EQ(t.codes[i8_code_index(c, j, n_pad)], 0);
+        }
+      }
+      for (std::size_t j = n; j < n_pad; ++j) EXPECT_EQ(t.corr[j], 0);
     }
   }
 }

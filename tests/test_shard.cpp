@@ -58,7 +58,7 @@ struct Fleet {
     }
     std::vector<Replica> replicas;
     for (auto& stack : stacks) {
-      replicas.push_back(Replica{stack->engine.get(), &stack->cache, ""});
+      replicas.push_back(Replica{stack->engine.get(), &stack->cache, "", {}});
     }
     router = std::make_unique<Router>(std::move(replicas), config);
   }

@@ -98,7 +98,7 @@ void run_cell(KillPhase phase, serve::Priority priority) {
   }
   std::vector<Replica> replicas;
   for (auto& stack : stacks) {
-    replicas.push_back(Replica{stack->engine.get(), &stack->cache, ""});
+    replicas.push_back(Replica{stack->engine.get(), &stack->cache, "", {}});
   }
   Router router(std::move(replicas), {});
 
@@ -206,7 +206,7 @@ TEST(ShardChaos, RepeatedKillsAcrossFleetStillResolveEverything) {
   }
   std::vector<Replica> replicas;
   for (auto& stack : stacks) {
-    replicas.push_back(Replica{stack->engine.get(), &stack->cache, ""});
+    replicas.push_back(Replica{stack->engine.get(), &stack->cache, "", {}});
   }
   Router router(std::move(replicas), {});
 
@@ -319,7 +319,7 @@ TEST(ShardChaos, LlamboCampaignSurvivesMidCampaignKillBitIdentical) {
   }
   std::vector<Replica> replicas;
   for (auto& stack : stacks) {
-    replicas.push_back(Replica{stack->engine.get(), &stack->cache, ""});
+    replicas.push_back(Replica{stack->engine.get(), &stack->cache, "", {}});
   }
   Router router(std::move(replicas), {});
   tune::LlamboTuner fleet_tuner(stacks[0]->model, pipeline().tokenizer(),

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstring>
 #include <future>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -361,7 +362,8 @@ int run_recover_bench(bool quick) {
   std::cout << "post-revive decode throughput: "
             << util::Table::num(pre.decode_tok_s) << " -> "
             << util::Table::num(post.decode_tok_s) << " tok/s ("
-            << util::Table::num(100.0 * ratio, 1) << "% of pre-kill, gate "
+            << std::fixed << std::setprecision(1) << 100.0 * ratio
+            << std::defaultfloat << "% of pre-kill, gate "
             << (gate_throughput
                     ? ">= 90%"
                     : "report-only: " + std::to_string(hw) + " core(s)")
