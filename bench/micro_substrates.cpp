@@ -111,6 +111,24 @@ void BM_TiedHead(benchmark::State& state) {
 }
 BENCHMARK(BM_TiedHead)->Arg(1)->Arg(8)->Arg(32);
 
+// The MLP's GELU over R rows of the serving fc1 width (4 · d_model 128):
+// a decode step (R = 8) and a prefill chunk (R = 32).
+void BM_Gelu(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kWidth = 4 * 128;
+  util::Rng rng(7);
+  lm::Tensor h1(rows, kWidth), g(rows, kWidth);
+  h1.randomize(rng, 1.0f);
+  for (auto _ : state) {
+    lm::gelu(h1, g);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * rows * kWidth));
+}
+BENCHMARK(BM_Gelu)->Arg(8)->Arg(32);
+
 // Attention of R query rows over the same n cached positions
 // (lm::attend_rows) at the serving shape — head dim 64, K/V rows of d_model
 // 128 — gathered from 16-row page spans: the per-head cost a long ICL block

@@ -113,6 +113,11 @@ void i8_gemm_avx512(const std::int8_t* qa, std::size_t m, const I8Packed& w,
   }
 }
 
+// GCC 12's avx512fintrin.h seeds _mm512_cvtph_ps and _mm512_reduce_add_ps
+// with a self-initialised `__m512 __Y = __Y;`, which -Wmaybe-uninitialized
+// reports once inlined here; the lanes it names are never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 void f16_gemm_avx512(const float* a, std::size_t m, const std::uint16_t* hbt,
                      std::size_t n, std::size_t k_len, float* out) {
   const std::size_t k_vec = k_len & ~std::size_t{15};
@@ -135,6 +140,7 @@ void f16_gemm_avx512(const float* a, std::size_t m, const std::uint16_t* hbt,
     }
   }
 }
+#pragma GCC diagnostic pop
 
 }  // namespace
 

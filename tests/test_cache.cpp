@@ -454,7 +454,9 @@ TEST(ServePrefixCache, CacheOnAndOffGenerateIdenticalTokens) {
     EXPECT_EQ(counter_value("cache.prefix.zero_copy_hits") - zero_copy0,
               hits);
     EXPECT_EQ(counter_value("cache.prefix.hit_bytes_copied"), copied0);
-    if (pool != nullptr) EXPECT_EQ(pool->pages_in_use(), 0u);
+    if (pool != nullptr) {
+      EXPECT_EQ(pool->pages_in_use(), 0u);
+    }
   }
 }
 
