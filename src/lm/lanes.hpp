@@ -1,6 +1,7 @@
 // Eight-float lane policies for the two SIMD kernel TUs: lm/tensor.cpp (the
-// tied head, lanes across activation rows) and lm/attention.cpp
-// (attend_rows, lanes across keys).  Only those TUs include this header.
+// tied head, lanes across activation rows; GELU, lanes across elements) and
+// lm/attention.cpp (attend_rows, lanes across keys).  Only those TUs
+// include this header.
 // Both are built with the same probed arch flags and -ffp-contract=off
 // (src/CMakeLists.txt), so mul and add stay separate operations (no FMA)
 // and every lane rounds exactly as the scalar expression `acc + a * b`
@@ -24,6 +25,8 @@ struct Lanes8 {
   static V set1(float x) { return _mm256_set1_ps(x); }
   static V load(const float* p) { return _mm256_loadu_ps(p); }
   static V mul(V a, float b) { return _mm256_mul_ps(a, _mm256_set1_ps(b)); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
   static V mul_add(V acc, V a, float b) {
     return _mm256_add_ps(acc, mul(a, b));
   }
@@ -80,6 +83,14 @@ struct PortableLanes {
   }
   static V mul(V a, float b) {
     for (float& x : a.x) x *= b;
+    return a;
+  }
+  static V mul(V a, V b) {
+    for (std::size_t l = 0; l < kWidth; ++l) a.x[l] *= b.x[l];
+    return a;
+  }
+  static V add(V a, V b) {
+    for (std::size_t l = 0; l < kWidth; ++l) a.x[l] += b.x[l];
     return a;
   }
   static V mul_add(V acc, V a, float b) {

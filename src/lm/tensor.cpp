@@ -1,7 +1,10 @@
 #include "lm/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "lm/lanes.hpp"
 #include "util/check.hpp"
@@ -280,10 +283,6 @@ void layer_norm_backward(const Tensor& x, std::span<const float> gamma,
   }
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
-
 void add_into(Tensor& dst, const Tensor& src) {
   LMPEEL_CHECK(dst.size() == src.size());
   float* d = dst.data();
@@ -291,15 +290,294 @@ void add_into(Tensor& dst, const Tensor& src) {
   for (std::size_t i = 0; i < dst.size(); ++i) d[i] += s[i];
 }
 
+namespace {
+
+// ---- tanh ------------------------------------------------------------------
+// glibc's float tanh: fdlibm's s_tanhf.c over its s_expm1f.c (glibc 2.36,
+// sysdeps/ieee754/flt-32), single precision throughout and nothing fused.
+constexpr float kLn2Hi = std::bit_cast<float>(0x3f317180u);
+constexpr float kLn2Lo = std::bit_cast<float>(0x3717f7d1u);
+constexpr float kInvLn2 = std::bit_cast<float>(0x3fb8aa3bu);
+// expm1's scaled rational-remainder coefficients.
+constexpr float kQ1 = std::bit_cast<float>(0xbd088889u);
+constexpr float kQ2 = std::bit_cast<float>(0x3ad00d01u);
+constexpr float kQ3 = std::bit_cast<float>(0xb8a670cdu);
+constexpr float kQ4 = std::bit_cast<float>(0x36867e54u);
+constexpr float kQ5 = std::bit_cast<float>(0xb457edbbu);
+
+float from_bits(std::uint32_t b) { return std::bit_cast<float>(b); }
+
+/// y · 2^k by adding k to y's exponent field, as fdlibm's SET_FLOAT_WORD.
+float add_exponent(float y, int k) {
+  return from_bits(std::bit_cast<std::uint32_t>(y) +
+                   (static_cast<std::uint32_t>(k) << 23));
+}
+
+/// glibc's expm1f: e^x - 1 = 2^k · (1 + expm1(r)) - 1 with r = x - k·ln2
+/// carried as hi - lo (correction c), and expm1(r) from a rational
+/// remainder in r²/2.
+float expm1f_scalar(float x) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  const bool neg = (bits >> 31) != 0;
+  const std::uint32_t hx = bits & 0x7fffffffu;
+  if (hx >= 0x4195b844u) {    // |x| >= 27 ln2
+    if (hx >= 0x42b17218u) {  // |x| >= 88.72
+      if (hx > 0x7f800000u) return x + x;  // NaN
+      if (hx == 0x7f800000u) return neg ? -1.0f : x;
+      if (!neg) return std::numeric_limits<float>::infinity();
+    }
+    if (neg) return -1.0f;
+  }
+  int k = 0;
+  float c = 0.0f;
+  if (hx > 0x3eb17218u) {    // |x| > ln2 / 2
+    float hi, lo;
+    if (hx < 0x3f851592u) {  // and |x| < 3 ln2 / 2
+      hi = neg ? x + kLn2Hi : x - kLn2Hi;
+      lo = neg ? -kLn2Lo : kLn2Lo;
+      k = neg ? -1 : 1;
+    } else {
+      k = static_cast<int>(kInvLn2 * x + (neg ? -0.5f : 0.5f));
+      const auto t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25
+    return x;
+  }
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    return x < -0.25f ? -2.0f * (e - (x + 0.5f)) : 1.0f + 2.0f * (x - e);
+  }
+  if (k <= -2 || k > 56) return add_exponent(1.0f - (e - x), k) - 1.0f;
+  if (k < 23) {  // 1 - 2^-k
+    return add_exponent(from_bits(0x3f800000u - (0x1000000u >> k)) - (e - x),
+                        k);
+  }
+  return add_exponent(x - (e + from_bits((0x7fu - k) << 23)) + 1.0f, k);
+}
+
+#if !defined(__AVX2__)
+/// Every lane of the plain C++ policy through the scalar twin.
+PortableLanes::V tanh_lanes(PortableLanes::V x) {
+  for (float& v : x.x) v = detail::tanhf_scalar(v);
+  return x;
+}
+#else
+/// expm1f_scalar on 8 lanes for the arguments tanh_lanes gives it:
+/// -2 < y <= 0 and 2 <= y < 44.  There k is 0, -1 (only negative y lie
+/// within 3 ln2 / 2 of 0), -2 or -3, or 3..64; each of those branches is
+/// computed on every lane and blended by k at the end.  Lanes below 2^-25,
+/// which return y, compute on 0 instead: their polynomial would underflow
+/// to subnormals, which cost a microcode assist per operation.
+__m256 expm1_lanes(__m256 y) {
+  const auto f = [](float v) { return _mm256_set1_ps(v); };
+  const auto i32 = [](int v) { return _mm256_set1_epi32(v); };
+  const auto mask = [](__m256i m) { return _mm256_castsi256_ps(m); };
+  const __m256i hy = _mm256_castps_si256(_mm256_andnot_ps(f(-0.0f), y));
+  const __m256 tiny = mask(_mm256_cmpgt_epi32(i32(0x33000000), hy));
+  const __m256 x = _mm256_andnot_ps(tiny, y);
+  const __m256i hx = _mm256_andnot_si256(_mm256_castps_si256(tiny), hy);
+
+  // Argument reduction x = k ln2 + (hi - lo): |x| <= ln2 / 2 keeps k = 0,
+  // |x| < 3 ln2 / 2 takes k = -1, anything further k = trunc(x / ln2 ± 1/2).
+  const __m256 reduced = mask(_mm256_cmpgt_epi32(hx, i32(0x3eb17218)));
+  const __m256 one_ln2 = _mm256_and_ps(
+      reduced, mask(_mm256_cmpgt_epi32(i32(0x3f851592), hx)));
+  const __m256 kf = _mm256_add_ps(
+      _mm256_mul_ps(f(kInvLn2), x),
+      _mm256_or_ps(f(0.5f), _mm256_and_ps(x, f(-0.0f))));
+  __m256i k = _mm256_cvttps_epi32(kf);
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_blendv_ps(
+      _mm256_sub_ps(x, _mm256_mul_ps(tk, f(kLn2Hi))),
+      _mm256_add_ps(x, f(kLn2Hi)), one_ln2);
+  const __m256 lo =
+      _mm256_blendv_ps(_mm256_mul_ps(tk, f(kLn2Lo)), f(-kLn2Lo), one_ln2);
+  k = _mm256_blendv_epi8(k, i32(-1), _mm256_castps_si256(one_ln2));
+  k = _mm256_and_si256(k, _mm256_castps_si256(reduced));
+  const __m256 xr = _mm256_blendv_ps(x, _mm256_sub_ps(hi, lo), reduced);
+  const __m256 c =
+      _mm256_and_ps(_mm256_sub_ps(_mm256_sub_ps(hi, xr), lo), reduced);
+
+  const __m256 hfx = _mm256_mul_ps(f(0.5f), xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 r1 = _mm256_add_ps(f(kQ4), _mm256_mul_ps(hxs, f(kQ5)));
+  r1 = _mm256_add_ps(f(kQ3), _mm256_mul_ps(hxs, r1));
+  r1 = _mm256_add_ps(f(kQ2), _mm256_mul_ps(hxs, r1));
+  r1 = _mm256_add_ps(f(kQ1), _mm256_mul_ps(hxs, r1));
+  r1 = _mm256_add_ps(f(1.0f), _mm256_mul_ps(hxs, r1));
+  const __m256 t = _mm256_sub_ps(f(3.0f), _mm256_mul_ps(r1, hfx));
+  __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(f(6.0f), _mm256_mul_ps(xr, t))));
+  const __m256 k0 =
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  e = _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c);
+  e = _mm256_sub_ps(e, hxs);
+  const __m256 km1 =
+      _mm256_sub_ps(_mm256_mul_ps(f(0.5f), _mm256_sub_ps(xr, e)), f(0.5f));
+
+  // The rest scale by 2^k through the exponent field.
+  const __m256i scale = _mm256_slli_epi32(k, 23);
+  const auto scaled = [&](__m256 v) {
+    return _mm256_castsi256_ps(
+        _mm256_add_epi32(_mm256_castps_si256(v), scale));
+  };
+  const __m256 e_minus_x = _mm256_sub_ps(e, xr);
+  const __m256 far =
+      _mm256_sub_ps(scaled(_mm256_sub_ps(f(1.0f), e_minus_x)), f(1.0f));
+  const __m256 one_minus_2mk = _mm256_castsi256_ps(_mm256_sub_epi32(
+      i32(0x3f800000), _mm256_srlv_epi32(i32(0x1000000), k)));
+  const __m256 near = scaled(_mm256_sub_ps(one_minus_2mk, e_minus_x));
+  const __m256 two_mk = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(i32(0x7f), k), 23));
+  const __m256 mid = scaled(
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e, two_mk)), f(1.0f)));
+
+  __m256 out = mid;  // 23 <= k <= 56
+  out = _mm256_blendv_ps(out, near, mask(_mm256_cmpgt_epi32(i32(23), k)));
+  out = _mm256_blendv_ps(out, far,
+                         mask(_mm256_or_si256(_mm256_cmpgt_epi32(i32(-1), k),
+                                              _mm256_cmpgt_epi32(k, i32(56)))));
+  out = _mm256_blendv_ps(out, km1, mask(_mm256_cmpeq_epi32(k, i32(-1))));
+  out = _mm256_blendv_ps(out, k0, mask(_mm256_cmpeq_epi32(k, i32(0))));
+  return _mm256_blendv_ps(out, y, tiny);
+}
+
+/// Lanes of `out` whose x is inf or NaN (bit l of `lanes`), recomputed by
+/// the scalar twin.
+[[gnu::noinline, gnu::cold]] __m256 scalar_lanes(__m256 x, __m256 out,
+                                                  int lanes) {
+  alignas(32) float in[8], res[8];
+  _mm256_store_ps(in, x);
+  _mm256_store_ps(res, out);
+  for (int l = 0; l < 8; ++l) {
+    if ((lanes >> l) & 1) res[l] = detail::tanhf_scalar(in[l]);
+  }
+  return _mm256_load_ps(res);
+}
+
+/// tanhf_scalar on 8 lanes: both expm1 arguments' formulas blended by |x|
+/// (one division, its numerator blended), then the |x| >= 22 and
+/// |x| < 2^-55 cases, whose lanes give expm1 a 0 (keeping its arguments in
+/// its domain and off subnormals).  Inf and NaN lanes go to the scalar
+/// twin.
+inline __m256 tanh_lanes(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  const __m256 big = _mm256_cmp_ps(a, one, _CMP_GE_OQ);
+  const __m256 saturated =
+      _mm256_cmp_ps(a, _mm256_set1_ps(22.0f), _CMP_GE_OQ);
+  const __m256 tiny =
+      _mm256_cmp_ps(a, _mm256_set1_ps(0x1p-55f), _CMP_LT_OQ);
+  const __m256 two_a = _mm256_andnot_ps(_mm256_or_ps(saturated, tiny),
+                                        _mm256_mul_ps(two, a));
+  // |x| >= 1: t = expm1(2|x|), z = 1 - 2 / (t + 2);
+  // below:    t = expm1(-2|x|), z = -t / (t + 2).
+  const __m256 t = expm1_lanes(_mm256_blendv_ps(_mm256_or_ps(two_a, sign),
+                                                two_a, big));
+  const __m256 q = _mm256_div_ps(
+      _mm256_blendv_ps(_mm256_xor_ps(t, sign), two, big),
+      _mm256_add_ps(t, two));
+  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), big);
+  z = _mm256_blendv_ps(z, one, saturated);
+  z = _mm256_blendv_ps(z, a, tiny);
+  const __m256 out = _mm256_or_ps(z, _mm256_and_ps(x, sign));
+  const int special = _mm256_movemask_ps(_mm256_cmp_ps(
+      a, _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+      _CMP_NLT_UQ));
+  return special == 0 ? out : scalar_lanes(x, out, special);
+}
+#endif
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+float gelu_scalar(float v) {
+  const float t = detail::tanhf_scalar(kGeluC * (v + 0.044715f * v * v * v));
+  return 0.5f * v * (1.0f + t);
+}
+
+/// gelu_scalar on the lanes of one group, each lane rounding as the scalar
+/// expression does.
+template <class L>
+typename L::V gelu_group(typename L::V v) {
+  const typename L::V cube = L::mul(L::mul(L::mul(v, 0.044715f), v), v);
+  const typename L::V t = tanh_lanes(L::mul(L::add(v, cube), kGeluC));
+  return L::mul(L::mul(v, 0.5f), L::add(t, L::set1(1.0f)));
+}
+
+/// out[i] = scalar(x[i]) for i < n: full groups of L::kWidth through
+/// `group`, the tail through `scalar`.
+template <class L, class Group, class Scalar>
+void map_groups(const float* x, std::size_t n, float* out, Group group,
+                Scalar scalar) {
+  std::size_t i = 0;
+  for (; i + L::kWidth <= n; i += L::kWidth) {
+    L::store(out + i, group(L::load(x + i)));
+  }
+#if defined(__AVX2__)
+  // GCC leaves out the vzeroupper on the path through the tail's calls, so
+  // the caller would get a dirty upper state, and every SSE-to-VEX switch
+  // after it (each call from an unflagged TU into this one) a penalty.
+  _mm256_zeroupper();
+#endif
+  for (; i < n; ++i) out[i] = scalar(x[i]);
+}
+
+#if defined(__AVX2__)
+using GeluLanes = Lanes8;
+#else
+using GeluLanes = PortableLanes;
+#endif
+
+}  // namespace
+
+namespace detail {
+float tanhf_scalar(float x) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  const bool neg = (bits >> 31) != 0;
+  const std::uint32_t ix = bits & 0x7fffffffu;
+  if (ix >= 0x7f800000u) return neg ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  float z = 1.0f;             // |x| >= 22: 1 - tiny rounds to 1
+  if (ix < 0x41b00000u) {     // |x| < 22
+    if (ix < 0x24000000u) {   // |x| < 2^-55
+      return x * (1.0f + x);
+    }
+    if (ix >= 0x3f800000u) {  // |x| >= 1
+      const float t = expm1f_scalar(2.0f * std::fabs(x));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = expm1f_scalar(-2.0f * std::fabs(x));
+      z = -t / (t + 2.0f);
+    }
+  }
+  return neg ? -z : z;
+}
+
+void tanhf_lanes(const float* x, std::size_t n, float* out) {
+  map_groups<GeluLanes>(
+      x, n, out, [](GeluLanes::V v) { return tanh_lanes(v); }, tanhf_scalar);
+}
+}  // namespace detail
+
 void gelu(const Tensor& x, Tensor& y) {
   LMPEEL_CHECK(x.rows() == y.rows() && x.cols() == y.cols());
-  const float* xs = x.data();
-  float* ys = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = xs[i];
-    const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-    ys[i] = 0.5f * v * (1.0f + t);
-  }
+  map_groups<GeluLanes>(x.data(), x.size(), y.data(),
+                        gelu_group<GeluLanes>, gelu_scalar);
 }
 
 void gelu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
@@ -310,7 +588,7 @@ void gelu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float v = xs[i];
     const float u = kGeluC * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(u);
+    const float t = detail::tanhf_scalar(u);
     const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
     const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
     dxs[i] += dys[i] * grad;

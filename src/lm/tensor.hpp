@@ -80,9 +80,20 @@ void layer_norm_backward(const Tensor& x, std::span<const float> gamma,
 /// dst += src elementwise (the residual add); sizes must match.
 void add_into(Tensor& dst, const Tensor& src);
 
-/// GELU (tanh approximation) and its derivative-times-grad.
+/// GELU (tanh approximation) and its derivative-times-grad.  The tanh is
+/// detail::tanhf_scalar, so neither calls libm; gelu runs it on SIMD lanes
+/// over full groups of 8 elements, bit-identical to the scalar twin.
 void gelu(const Tensor& x, Tensor& y);
 void gelu_backward(const Tensor& x, const Tensor& dy, Tensor& dx);
+namespace detail {
+/// glibc's tanhf: fdlibm's s_tanhf.c over its s_expm1f.c as glibc 2.36
+/// builds them (float arithmetic, nothing fused).  Equal to that libm's
+/// tanhf on every float the exhaustive test checks.
+float tanhf_scalar(float x);
+/// out[i] = tanhf_scalar(x[i]) for i < n: GELU's lane tanh over full
+/// groups of 8, the scalar twin over the tail.
+void tanhf_lanes(const float* x, std::size_t n, float* out);
+}  // namespace detail
 
 /// Row-wise softmax in place.
 void softmax_rows(Tensor& x);
