@@ -11,6 +11,10 @@
 //     then decode_batch over all prompts at once;
 //   * f32 only: the training forward and backward pass (train_sequence),
 //     digesting the loss and every gradient.
+// And, for the f32 and int8 models, the tokens lm::generate samples after
+// each prompt under fixed seeds, at T 0.8 and at the §IV-A sweep's
+// T 1.0 / top_p 0.998: these pin the sampler's order and walk, not only
+// the logits it reads.
 //
 // Every parameter of the seeded model is scaled by 4 (exact: a power of
 // two), so the MLP's GELU sees arguments across its whole tanh range rather
@@ -34,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "lm/generate.hpp"
 #include "lm/sampler.hpp"
 #include "lm/transformer.hpp"
 #include "quant/arch.hpp"
@@ -48,6 +53,7 @@ namespace {
 
 constexpr std::size_t kChunk = 32;  // prefill chunk, as the serve engine's
 constexpr std::size_t kGreedy = 8;  // greedy tokens after each prompt
+constexpr std::size_t kSampled = 8;  // sampled tokens after each prompt
 
 /// Empty when this host's libm draws the weights the digests were recorded
 /// with, else the reason it may not.
@@ -242,6 +248,39 @@ void expect_golden(lm::LanguageModel& lm, lm::KvBackend& kv,
   EXPECT_EQ(chunked.greedy, kGreedyTokens) << label << " chunked + batch";
 }
 
+/// kSampled tokens lm::generate draws after each prompt under `sampler`,
+/// with seed 100 + the prompt's index.
+std::vector<std::vector<int>> sampled_tokens(lm::LanguageModel& model,
+                                             const lm::SamplerConfig& sampler) {
+  std::vector<std::vector<int>> out;
+  const auto prompts = golden_prompts(model.vocab_size());
+  for (std::size_t p = 0; p < prompts.size(); ++p) {
+    lm::GenerateOptions options;
+    options.sampler = sampler;
+    options.max_tokens = kSampled;
+    options.stop_on_eos = false;
+    options.seed = 100 + p;
+    out.push_back(lm::generate(model, prompts[p], options).tokens);
+  }
+  return out;
+}
+
+/// Temperature 0.8 with no truncation, and the §IV-A sweep's
+/// configuration.
+const lm::SamplerConfig kT08{0.8, 0, 1.0};
+const lm::SamplerConfig kSweep{1.0, 0, 0.998};
+
+void expect_sampled(lm::LanguageModel& model, const char* label,
+                    const std::vector<std::vector<int>>& want_t08,
+                    const std::vector<std::vector<int>>& want_sweep) {
+  const auto t08 = sampled_tokens(model, kT08);
+  const auto sweep = sampled_tokens(model, kSweep);
+  std::printf("golden %s sampled: T 0.8 %s| T 1.0 top_p 0.998 %s\n", label,
+              tokens_text(t08).c_str(), tokens_text(sweep).c_str());
+  EXPECT_EQ(t08, want_t08) << label << " T 0.8";
+  EXPECT_EQ(sweep, want_sweep) << label << " T 1.0 top_p 0.998";
+}
+
 class Golden : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -275,6 +314,27 @@ TEST_F(Golden, F32Inference) {
 TEST_F(Golden, Int8Inference) {
   quant::QuantizedLm model(golden_model(), quant::WeightFormat::kInt8);
   expect_golden(model, model, "int8", 0x40f78c2fbeedf4d6u);
+}
+
+TEST_F(Golden, F32SampledTokens) {
+  expect_sampled(golden_model(), "f32",
+                 {{228, 193, 292, 193, 132, 86, 246, 292},
+                  {99, 86, 291, 216, 133, 176, 193, 61},
+                  {29, 142, 282, 64, 86, 11, 194, 203}},
+                 {{138, 48, 151, 17, 60, 292, 295, 214},
+                  {259, 299, 173, 182, 182, 175, 29, 119},
+                  {241, 290, 118, 180, 68, 182, 246, 214}});
+}
+
+TEST_F(Golden, Int8SampledTokens) {
+  quant::QuantizedLm model(golden_model(), quant::WeightFormat::kInt8);
+  expect_sampled(model, "int8",
+                 {{66, 72, 280, 254, 70, 86, 246, 221},
+                  {293, 126, 11, 280, 194, 93, 172, 182},
+                  {29, 238, 264, 267, 203, 70, 246, 60}},
+                 {{268, 72, 239, 216, 238, 86, 258, 86},
+                  {256, 86, 253, 23, 85, 172, 86, 136},
+                  {256, 133, 282, 241, 27, 18, 282, 60}});
 }
 
 TEST_F(Golden, Fp16Inference) {
