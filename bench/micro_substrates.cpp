@@ -213,17 +213,21 @@ BENCHMARK(BM_I8Gemm)->Apply([](benchmark::internal::Benchmark* b) {
 
 // One temperature-0.8 draw over a full-vocabulary logit row, the per-token
 // sampling cost of a sampled (non-greedy) request.
+/// One T = 0.8 draw over a 1761-token row of normal logits with standard
+/// deviation arg / 100: 200 is a wide row, 23 the spread measured on
+/// campaign rows (logits within about 2 of each other).
 void BM_SampleT08(benchmark::State& state) {
   std::vector<float> logits(1761);
   util::Rng rng(9);
-  for (float& l : logits) l = static_cast<float>(rng.normal(0.0, 2.0));
+  const double sd = static_cast<double>(state.range(0)) / 100.0;
+  for (float& l : logits) l = static_cast<float>(rng.normal(0.0, sd));
   const lm::SamplerConfig config{0.8, 0, 1.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(lm::sample(logits, config, rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SampleT08);
+BENCHMARK(BM_SampleT08)->ArgName("sd_x100")->Arg(200)->Arg(23);
 
 void BM_GbtFit(benchmark::State& state) {
   auto& pipeline = shared_pipeline();

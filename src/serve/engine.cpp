@@ -58,20 +58,6 @@ obs::Counter& retired_counter(RequestStatus status) {
   return reg.counter("serve.retired.unknown");
 }
 
-/// A NaN or +inf in a logits row poisons softmax/argmax silently; reject
-/// the row before it reaches the sampler.  -inf is legal — the LanguageModel
-/// contract (lm/language_model.hpp) uses it to mask non-generable tokens —
-/// but a row with *no* generable token is degenerate too.
-bool row_valid(std::span<const float> logits) {
-  bool any_generable = false;
-  for (const float v : logits) {
-    if (std::isnan(v)) return false;
-    if (std::isinf(v) && v > 0.0f) return false;
-    if (v != lm::kNegInf) any_generable = true;
-  }
-  return any_generable;
-}
-
 }  // namespace
 
 const char* status_name(RequestStatus status) {
@@ -667,7 +653,7 @@ Engine::SampleOutcome Engine::sample_and_record(
   // A misbehaving model (the paper's own finding: ICL surrogates emit
   // degenerate numerics) can hand back NaN/Inf logits; validate before the
   // sampler sees them.
-  if (!row_valid(logits)) {
+  if (!lm::sampleable(logits)) {
     obs::Registry::global().counter("serve.logits_invalid").add();
     return SampleOutcome::InvalidLogits;
   }
