@@ -212,10 +212,9 @@ BENCHMARK(BM_I8Gemm)->Apply([](benchmark::internal::Benchmark* b) {
 });
 
 // One temperature-0.8 draw over a full-vocabulary logit row, the per-token
-// sampling cost of a sampled (non-greedy) request.
-/// One T = 0.8 draw over a 1761-token row of normal logits with standard
-/// deviation arg / 100: 200 is a wide row, 23 the spread measured on
-/// campaign rows (logits within about 2 of each other).
+// sampling cost of a sampled (non-greedy) request.  The logits are normal
+// with standard deviation arg / 100: 200 is a wide row, 23 the spread
+// measured on campaign rows (logits within about 2 of each other).
 void BM_SampleT08(benchmark::State& state) {
   std::vector<float> logits(1761);
   util::Rng rng(9);
